@@ -197,8 +197,8 @@ bool MappedBuffer::open(const std::string& path, std::string* error) {
   struct stat st {};
   if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode) || st.st_size == 0) {
     ::close(fd);
-    // Not a plain non-empty file: take the stream path, which mirrors the
-    // legacy ifstream semantics for empty files and odd path types.
+    // Not a plain non-empty file: take the stream path, which handles
+    // empty files and odd path types the way std::ifstream does.
     return read_stream_fallback(path, owned_, error);
   }
   const auto len = static_cast<std::size_t>(st.st_size);
@@ -234,7 +234,7 @@ const StoredField* EventView::find(std::string_view key) const {
 
 double EventView::number(StrId key, double fallback) const {
   const StoredField* field = find(key);
-  if (field == nullptr || field->type != JsonValue::Type::kNumber) {
+  if (field == nullptr || field->type != FieldType::kNumber) {
     return fallback;
   }
   return field->number;
@@ -252,22 +252,22 @@ void EventStore::begin_event(double time, NodeId node, StrId kind) {
 }
 
 void EventStore::add_number(StrId key, double value) {
-  fields_.push_back({key, JsonValue::Type::kNumber, false, value, {}});
+  fields_.push_back({key, FieldType::kNumber, false, value, {}});
   ++events_.back().field_count;
 }
 
 void EventStore::add_string(StrId key, std::string_view text) {
-  fields_.push_back({key, JsonValue::Type::kString, false, 0.0, text});
+  fields_.push_back({key, FieldType::kString, false, 0.0, text});
   ++events_.back().field_count;
 }
 
 void EventStore::add_bool(StrId key, bool value) {
-  fields_.push_back({key, JsonValue::Type::kBool, value, 0.0, {}});
+  fields_.push_back({key, FieldType::kBool, value, 0.0, {}});
   ++events_.back().field_count;
 }
 
 void EventStore::add_null(StrId key) {
-  fields_.push_back({key, JsonValue::Type::kNull, false, 0.0, {}});
+  fields_.push_back({key, FieldType::kNull, false, 0.0, {}});
   ++events_.back().field_count;
 }
 
@@ -302,9 +302,8 @@ struct Sink {
   TextArena& arena;
 };
 
-// The cursor and error plumbing mirror trace_reader.cpp exactly: the
-// new parser must reject the same lines with the same messages at the
-// same byte offsets, which the event-store tests pin.
+// Every rejected line reports "<reason> at offset <byte>" from this
+// cursor; the event-store tests pin the strings and offsets.
 struct Cursor {
   std::string_view text;
   std::size_t pos = 0;
@@ -332,9 +331,7 @@ bool fail(const Cursor& cursor, std::string* error, const char* what) {
 /// Escape decode, deliberately out of line: escaped strings are rare
 /// (and bounded by the line), and keeping this loop out of
 /// parse_string_sv lets the escape-free scan inline into the per-line
-/// parse loop. `cursor.pos` must sit on the first content byte. The
-/// decode loop is the legacy parse_string loop, so error strings and
-/// offsets are identical.
+/// parse loop. `cursor.pos` must sit on the first content byte.
 bool parse_string_escaped(Cursor& cursor, TextArena& arena,
                           std::string_view& out, std::string* error) {
   const std::size_t content = cursor.pos;
@@ -447,8 +444,8 @@ inline bool parse_string_sv(Cursor& cursor, TextArena& arena,
       cursor.pos = pos + 1;
       return true;
     }
-    // No closing quote and no escape: the legacy loop consumes to the
-    // end and reports an unterminated string there.
+    // No closing quote and no escape: consume to the end and report an
+    // unterminated string there, as the escape decode loop would.
     cursor.pos = size;
     return fail(cursor, error, "unterminated string");
   }
@@ -456,7 +453,7 @@ inline bool parse_string_sv(Cursor& cursor, TextArena& arena,
 }
 
 struct ParsedValue {
-  JsonValue::Type type = JsonValue::Type::kNull;
+  FieldType type = FieldType::kNull;
   double number = 0.0;
   bool boolean = false;
   std::string_view text;
@@ -518,26 +515,26 @@ bool parse_value_sv(Cursor& cursor, TextArena& arena, ParsedValue& out,
   if (cursor.done()) return fail(cursor, error, "expected value");
   const char c = cursor.peek();
   if (c == '"') {
-    out.type = JsonValue::Type::kString;
+    out.type = FieldType::kString;
     return parse_string_sv(cursor, arena, out.text, error);
   }
   // Values starting with a digit or '-' can never be true/false/null, so
   // numbers (by far the most common case) skip the literal compares.
   if (c != '-' && (c < '0' || c > '9')) {
     if (cursor.text.substr(cursor.pos, 4) == "true") {
-      out.type = JsonValue::Type::kBool;
+      out.type = FieldType::kBool;
       out.boolean = true;
       cursor.pos += 4;
       return true;
     }
     if (cursor.text.substr(cursor.pos, 5) == "false") {
-      out.type = JsonValue::Type::kBool;
+      out.type = FieldType::kBool;
       out.boolean = false;
       cursor.pos += 5;
       return true;
     }
     if (cursor.text.substr(cursor.pos, 4) == "null") {
-      out.type = JsonValue::Type::kNull;
+      out.type = FieldType::kNull;
       cursor.pos += 4;
       return true;
     }
@@ -545,7 +542,7 @@ bool parse_value_sv(Cursor& cursor, TextArena& arena, ParsedValue& out,
   // Exact fast path first; from_chars handles the long tail.
   if (scan_exact_decimal(cursor.text.data(), cursor.text.size(), cursor.pos,
                          out.number)) {
-    out.type = JsonValue::Type::kNumber;
+    out.type = FieldType::kNumber;
     return true;
   }
 
@@ -556,7 +553,7 @@ bool parse_value_sv(Cursor& cursor, TextArena& arena, ParsedValue& out,
   if (res.ec != std::errc{} || res.ptr == first) {
     return fail(cursor, error, "expected number");
   }
-  out.type = JsonValue::Type::kNumber;
+  out.type = FieldType::kNumber;
   out.number = number;
   cursor.pos += static_cast<std::size_t>(res.ptr - first);
   return true;
@@ -584,7 +581,7 @@ bool parse_line_sv(std::string_view line, Sink& sink, std::string* error) {
   // whitespace, reordered keys, numbers outside the exact-decimal
   // range, an escaped or unterminated kind — restarts the generic
   // parser from the first byte (nothing has been committed and no state
-  // mutated), so rejected lines keep their exact legacy error strings
+  // mutated), so rejected lines get the generic parser's error strings
   // and offsets.
   bool header_done = false;
   {
@@ -637,12 +634,12 @@ bool parse_line_sv(std::string_view line, Sink& sink, std::string* error) {
       }
       ParsedValue value;
       if (!parse_value_sv(cursor, sink.arena, value, error)) return bail();
-      if (key == "t" && value.type == JsonValue::Type::kNumber) {
+      if (key == "t" && value.type == FieldType::kNumber) {
         time = value.number;
         saw_time = true;
-      } else if (key == "node" && value.type == JsonValue::Type::kNumber) {
+      } else if (key == "node" && value.type == FieldType::kNumber) {
         node = static_cast<NodeId>(value.number);
-      } else if (key == "kind" && value.type == JsonValue::Type::kString) {
+      } else if (key == "kind" && value.type == FieldType::kString) {
         kind_text = value.text;
         saw_kind = true;
       } else {
@@ -693,9 +690,8 @@ struct Shard {
 };
 
 /// Parses [begin, end) of the buffer line by line into `sink`, updating
-/// the shard's counters. The accounting is byte-identical to the legacy
-/// tolerant loader: blank lines advance the line number but are skipped,
-/// the first malformed line keeps its error string.
+/// the shard's counters: blank lines advance the line number but are
+/// skipped, the first malformed line keeps its error string.
 void parse_range(const char* data, Shard& shard, Sink& sink) {
   std::size_t pos = shard.begin;
   const std::size_t end = shard.end;
@@ -884,34 +880,6 @@ bool load_trace_buffer(std::string text, EventStore& out, IngestStats& stats,
   stats = IngestStats{};
   StoreIngest::backing(out).adopt(std::move(text));
   return load_from_backing(out, stats, jobs);
-}
-
-EventStore store_from_events(const std::vector<ParsedEvent>& events) {
-  EventStore store;
-  std::size_t total_fields = 0;
-  for (const ParsedEvent& event : events) total_fields += event.fields.size();
-  store.reserve(events.size(), total_fields);
-  for (const ParsedEvent& event : events) {
-    store.begin_event(event.time, event.node, store.intern(event.kind));
-    for (const auto& [key, value] : event.fields) {
-      const StrId key_id = store.intern(key);
-      switch (value.type) {
-        case JsonValue::Type::kNumber:
-          store.add_number(key_id, value.number);
-          break;
-        case JsonValue::Type::kString:
-          store.add_string(key_id, store.store_text(value.text));
-          break;
-        case JsonValue::Type::kBool:
-          store.add_bool(key_id, value.boolean);
-          break;
-        case JsonValue::Type::kNull:
-          store.add_null(key_id);
-          break;
-      }
-    }
-  }
-  return store;
 }
 
 }  // namespace realtor::obs

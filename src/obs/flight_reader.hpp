@@ -1,8 +1,8 @@
 // Reader for flight-recorder dumps (see flight_recorder.hpp for the
-// format). Converts the packed rings back into the exact event model the
-// JSONL reader produces — a std::vector<ParsedEvent> — so every consumer
-// of JSONL traces (realtor_trace modes, the span builder, the invariant
-// checker, the scorecard) runs unchanged on binary dumps.
+// format). Decodes the packed rings straight into an EventStore — the
+// same event model a JSONL load produces — so every consumer of JSONL
+// traces (realtor_trace modes, the span builder, the invariant checker,
+// the scorecard) runs unchanged on binary dumps.
 //
 // Semantics match a JSONL round trip field for field: uints come back as
 // JSON numbers, non-finite doubles come back as the quoted strings the
@@ -15,45 +15,14 @@
 
 #include "obs/event_store.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/trace_reader.hpp"
 
 namespace realtor::obs {
-
-struct FlightDump {
-  std::vector<std::string> names;
-  std::vector<FlightRingInfo> rings;
-  /// All rings' records merged into one stream, sorted by time (stable:
-  /// ties keep ring order, and within a ring the recorded order). For the
-  /// single-ring simulation dumps this is exactly emission order.
-  std::vector<ParsedEvent> events;
-  /// Records the file claimed but the reader could not recover: packed
-  /// records rejected by unpack (unknown kind / out-of-range name id) plus
-  /// records lost to mid-ring truncation. The JSONL analogue of
-  /// ReadStats::malformed — `realtor_trace --check` fails when non-zero.
-  std::uint64_t malformed = 0;
-  /// True when the file ended mid-ring: every intact record up to the cut
-  /// was salvaged into `events` and the remainder counted in `malformed`.
-  bool truncated = false;
-
-  std::uint64_t total_recorded() const;
-  std::uint64_t total_dropped() const;
-};
 
 /// True when the file starts with the flight-recorder magic — how
 /// realtor_trace auto-detects binary dumps next to JSONL traces.
 bool is_flight_file(const std::string& path);
 
-/// Loads a dump. False with a reason in `error` only when nothing is
-/// recoverable: unreadable file, bad magic, or a header (name table /
-/// ring count / first ring header) cut short. Damage past the headers —
-/// a ring truncated mid-record, records with unknown kinds or name ids —
-/// never fails the load: intact records are salvaged into `out.events`
-/// and the loss is surfaced via `out.malformed` / `out.truncated`.
-bool load_flight_file(const std::string& path, FlightDump& out,
-                      std::string* error = nullptr);
-
-/// Ring/truncation telemetry of a store-based load (the FlightDump fields
-/// that are not the events themselves).
+/// Ring headers of a loaded dump, and whether the file ended mid-ring.
 struct FlightStoreInfo {
   std::vector<FlightRingInfo> rings;
   bool truncated = false;
@@ -62,19 +31,23 @@ struct FlightStoreInfo {
   std::uint64_t total_dropped() const;
 };
 
-/// Direct decode into an EventStore: packed records become EventRecs and
-/// StoredFields straight away — no per-record strings, no JSON text round
-/// trip. Same salvage semantics and failure conditions as the FlightDump
-/// overload, and the same event model (uints as numbers, non-finite
-/// doubles as quoted "nan"/"inf"/"-inf" strings, node 0xFFFFFFFF as
-/// kInvalidNode, stable time sort across rings).
+/// Loads a dump: packed records become EventRecs and StoredFields
+/// straight away — no per-record strings, no JSON text round trip.
+/// Multi-ring dumps (agile: one ring per host) are merged by a stable time
+/// sort: ties keep ring-major order, and single-ring simulation dumps stay
+/// in emission order.
 ///
-/// Malformed accounting lands in `stats` with the exact trace_reader
-/// semantics: `lines` counts the records the intact ring headers claimed,
-/// `events` the decoded ones, `malformed` = lines - events (rejected
-/// records plus records lost to mid-ring truncation),
+/// False with a reason in `error` only when nothing is recoverable:
+/// unreadable file, bad magic, a header (name table / ring count / first
+/// ring header) cut short, or trailing bytes after the last ring. Damage
+/// past the headers — a ring truncated mid-record, records with unknown
+/// kinds, field types or name ids — never fails the load: intact records
+/// are salvaged and the loss is accounted in `stats` like malformed JSONL
+/// lines: `lines` counts the records the intact ring headers claimed,
+/// `events` the decoded ones, `malformed` = lines - events,
 /// `first_malformed_line` the 1-based ordinal of the first lost record in
-/// ring-major order, `first_error` the reason.
+/// ring-major order, `first_error` the reason. `info.truncated` is set
+/// when the file ended inside a ring or a later ring header.
 bool load_flight_file(const std::string& path, EventStore& out,
                       FlightStoreInfo& info, TraceLoadStats& stats,
                       std::string* error = nullptr);

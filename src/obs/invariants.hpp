@@ -75,8 +75,6 @@ std::vector<Violation> check_invariants(const std::vector<SpanEvent>& events,
 /// Convenience overloads that normalize first.
 std::vector<Violation> check_invariants(const std::vector<TraceEvent>& events,
                                         const InvariantConfig& config = {});
-std::vector<Violation> check_invariants(const std::vector<ParsedEvent>& events,
-                                        const InvariantConfig& config = {});
 std::vector<Violation> check_invariants(const EventStore& store,
                                         const InvariantConfig& config = {});
 

@@ -198,10 +198,6 @@ Scorecard build_scorecard(const EventStore& store) {
   return card;
 }
 
-Scorecard build_scorecard(const std::vector<ParsedEvent>& events) {
-  return build_scorecard(store_from_events(events));
-}
-
 std::string render_scorecard_json(const Scorecard& card) {
   std::string out;
   out.reserve(1024);

@@ -11,8 +11,8 @@
 // to the first usable PLEDGE, and time from the HELP to the migration it
 // enabled.
 //
-// Works from both trace representations: live TraceEvents (MemorySink,
-// in tests) and ParsedEvents re-read from a JSONL file (realtor_trace).
+// Works from live TraceEvents (MemorySink, in tests) and from a loaded
+// EventStore (JSONL trace or flight dump, realtor_trace).
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,6 @@
 #include "obs/event_store.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "obs/trace_reader.hpp"
 
 namespace realtor::obs {
 
@@ -64,16 +63,11 @@ struct SpanEvent {
 /// keys are simply ignored).
 SpanEvent normalize(const TraceEvent& event);
 
-/// Reduces a JSONL record; false when the kind string is unknown (the
-/// event should then be skipped, not treated as data).
-bool normalize(const ParsedEvent& event, SpanEvent& out);
-
 std::vector<SpanEvent> normalize_events(const std::vector<TraceEvent>& events);
-std::vector<SpanEvent> normalize_events(const std::vector<ParsedEvent>& events);
 /// Store-based reduction: payload keys are looked up once as interned ids
 /// and kinds come from the interner's cached EventKind — no per-event
-/// string comparisons. Unknown kinds are skipped, exactly like the
-/// ParsedEvent overload.
+/// string comparisons. Records of unknown kinds are skipped, not treated
+/// as data.
 std::vector<SpanEvent> normalize_events(const EventStore& store);
 
 /// One reconstructed discovery episode.

@@ -28,7 +28,8 @@ expect() { # expect <description> <wanted-exit> -- <command...>
 }
 
 # One clean trace (with live ticks, so --follow sees the full event mix)
-# and one damaged copy with a malformed tail line.
+# and one damaged copy with a malformed tail line; one clean flight dump
+# of the same run and one copy cut 100 bytes short, mid-record.
 "$SIM_BIN" --lambda=12 --duration=60 --seed=7 --attack=30:8:1:20 \
   --live-cadence=10 --trace="$tmp/run.jsonl" >/dev/null 2>&1 || {
   echo "FAIL: could not generate the fixture trace" >&2
@@ -36,10 +37,19 @@ expect() { # expect <description> <wanted-exit> -- <command...>
 }
 cp "$tmp/run.jsonl" "$tmp/damaged.jsonl"
 echo '{truncated mid-write' >>"$tmp/damaged.jsonl"
+"$SIM_BIN" --lambda=12 --duration=60 --seed=7 --attack=30:8:1:20 \
+  --flight-recorder --flight-out="$tmp/flight.bin" >/dev/null 2>&1 || {
+  echo "FAIL: could not generate the fixture flight dump" >&2
+  exit 1
+}
+flight_bytes=$(wc -c <"$tmp/flight.bin")
+head -c $((flight_bytes - 100)) "$tmp/flight.bin" >"$tmp/cut.bin"
 
 # exit 0: every requested gate passed.
 expect "check on a clean trace" 0 -- \
   "$TRACE_BIN" "$tmp/run.jsonl" --check
+expect "check on a clean flight dump" 0 -- \
+  "$TRACE_BIN" "$tmp/flight.bin" --check
 expect "offline analysis (episodes)" 0 -- \
   "$TRACE_BIN" "$tmp/run.jsonl" --episodes
 expect "follow --once dashboard" 0 -- \
@@ -69,9 +79,13 @@ expect "check with dropped input" 2 -- \
   "$TRACE_BIN" "$tmp/damaged.jsonl" --check
 expect "follow --once --check with dropped input" 2 -- \
   "$TRACE_BIN" "$tmp/damaged.jsonl" --follow --once --plain --check
+expect "check on a byte-truncated flight dump" 2 -- \
+  "$TRACE_BIN" "$tmp/cut.bin" --check
+expect "follow --once --check on a byte-truncated flight dump" 2 -- \
+  "$TRACE_BIN" "$tmp/cut.bin" --follow --once --plain --check
 
 if [ "$fails" -ne 0 ]; then
   echo "$fails contract row(s) violated" >&2
   exit 1
 fi
-echo "exit-code contract holds (12 rows)"
+echo "exit-code contract holds (15 rows)"

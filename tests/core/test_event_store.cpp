@@ -1,21 +1,23 @@
-// EventStore ingest tests — the contract that makes the zero-copy store a
-// drop-in for the legacy reader:
+// EventStore ingest tests — the store's contract, pinned by oracles from
+// outside its parser:
 //
-//   - whatever JsonlSink writes, load_trace_buffer() reads back exactly as
-//     parse_jsonl_line() would (randomized round-trip over every payload
-//     type, escape-heavy strings included);
+//   - whatever JsonlSink writes, load_trace_buffer() reads back as exactly
+//     the TraceEvents that were written (randomized round-trip over every
+//     payload type, escape-heavy strings included);
 //   - shard boundaries are invisible: any --jobs value produces the same
 //     store and the same malformed accounting, even when lines straddle
 //     chunk edges;
-//   - malformed lines are counted with the legacy reader's exact error
-//     strings and line numbers;
-//   - flight dumps decode into the same event model the FlightDump reader
-//     produces, including truncation salvage;
+//   - malformed lines are counted with fixed error strings, byte offsets
+//     and line numbers (literal tables, captured from the line-by-line
+//     reader the store replaced);
+//   - flight dumps decode into the same event model as the JSONL trace of
+//     the same events, and truncation salvage yields fixed counts;
 //   - the parse hot loop does not allocate per event (global operator new
 //     counter — this file is its own test binary so the override only
 //     observes event-store work).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -33,7 +35,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "obs/trace.hpp"
-#include "obs/trace_reader.hpp"
 
 // ---- global allocation counter ------------------------------------------
 
@@ -81,41 +82,72 @@ namespace {
 
 // ---- helpers ------------------------------------------------------------
 
-std::vector<ParsedEvent> legacy_parse(const std::string& buffer) {
-  std::vector<ParsedEvent> out;
-  std::istringstream in(buffer);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    ParsedEvent event;
-    if (parse_jsonl_line(line, event)) out.push_back(std::move(event));
-  }
-  return out;
-}
-
-void expect_store_matches_legacy(const EventStore& store,
-                                 const std::vector<ParsedEvent>& legacy) {
-  ASSERT_EQ(store.size(), legacy.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
+/// The round-trip oracle is the source event itself: what JsonlSink wrote
+/// must come back as exactly the record and payload that were traced.
+void expect_store_matches_source(const EventStore& store,
+                                 const std::vector<TraceEvent>& source) {
+  ASSERT_EQ(store.size(), source.size());
+  for (std::size_t i = 0; i < source.size(); ++i) {
     const EventView view = store[i];
-    const ParsedEvent& event = legacy[i];
+    const TraceEvent& event = source[i];
     EXPECT_EQ(view.time(), event.time) << "event " << i;
     EXPECT_EQ(view.node(), event.node) << "event " << i;
-    EXPECT_EQ(view.kind(), event.kind) << "event " << i;
-    ASSERT_EQ(view.field_count(), event.fields.size()) << "event " << i;
+    EXPECT_EQ(view.kind(), to_string(event.kind)) << "event " << i;
+    ASSERT_EQ(view.field_count(), event.field_count) << "event " << i;
     const StoredField* field = view.fields_begin();
-    for (std::size_t f = 0; f < event.fields.size(); ++f) {
-      const auto& [key, value] = event.fields[f];
-      EXPECT_EQ(store.name(field[f].key), key) << "event " << i;
-      EXPECT_EQ(field[f].type, value.type) << "event " << i << " " << key;
-      EXPECT_EQ(field[f].boolean, value.boolean) << "event " << i;
-      EXPECT_EQ(field[f].text, value.text) << "event " << i << " " << key;
-      if (value.type == JsonValue::Type::kNumber) {
-        EXPECT_EQ(field[f].number, value.number) << "event " << i;
-      } else {
-        // The StoredField contract span's apply_field relies on.
-        EXPECT_EQ(field[f].number, 0.0) << "event " << i << " " << key;
+    for (std::uint32_t f = 0; f < event.field_count; ++f) {
+      const TraceField& traced = event.fields[f];
+      const StoredField& stored = field[f];
+      SCOPED_TRACE("event " + std::to_string(i) + " " + traced.key);
+      EXPECT_EQ(store.name(stored.key), traced.key);
+      switch (traced.type) {
+        case TraceField::Type::kDouble:
+          EXPECT_EQ(stored.type, FieldType::kNumber);
+          EXPECT_EQ(stored.number, traced.d);
+          break;
+        case TraceField::Type::kUint:
+          EXPECT_EQ(stored.type, FieldType::kNumber);
+          EXPECT_EQ(stored.number, static_cast<double>(traced.u));
+          break;
+        case TraceField::Type::kBool:
+          EXPECT_EQ(stored.type, FieldType::kBool);
+          EXPECT_EQ(stored.boolean, traced.b);
+          break;
+        case TraceField::Type::kString:
+          EXPECT_EQ(stored.type, FieldType::kString);
+          EXPECT_EQ(stored.text, traced.s);
+          break;
+        case TraceField::Type::kNone:
+          EXPECT_EQ(stored.type, FieldType::kNull);
+          break;
       }
+      if (stored.type != FieldType::kNumber) {
+        // The StoredField contract span normalization relies on.
+        EXPECT_EQ(stored.number, 0.0);
+      }
+    }
+  }
+}
+
+/// Same records and payloads by name and value. Intern ids may differ:
+/// a flight decode interns its name table first.
+void expect_same_records(const EventStore& a, const EventStore& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const EventView va = a[i];
+    const EventView vb = b[i];
+    EXPECT_EQ(va.time(), vb.time()) << i;
+    EXPECT_EQ(va.node(), vb.node()) << i;
+    EXPECT_EQ(va.kind(), vb.kind()) << i;
+    ASSERT_EQ(va.field_count(), vb.field_count()) << i;
+    for (std::size_t f = 0; f < va.field_count(); ++f) {
+      const StoredField& fa = va.fields_begin()[f];
+      const StoredField& fb = vb.fields_begin()[f];
+      EXPECT_EQ(a.name(fa.key), b.name(fb.key)) << i;
+      EXPECT_EQ(fa.type, fb.type) << i << " " << a.name(fa.key);
+      EXPECT_EQ(fa.boolean, fb.boolean) << i;
+      EXPECT_EQ(fa.number, fb.number) << i;
+      EXPECT_EQ(fa.text, fb.text) << i << " " << a.name(fa.key);
     }
   }
 }
@@ -143,7 +175,7 @@ void expect_same_store(const EventStore& a, const EventStore& b) {
     EXPECT_EQ(fa.type, fb.type) << f;
     EXPECT_EQ(fa.boolean, fb.boolean) << f;
     EXPECT_EQ(fa.text, fb.text) << f;
-    if (fa.type == JsonValue::Type::kNumber) {
+    if (fa.type == FieldType::kNumber) {
       EXPECT_EQ(fa.number, fb.number) << f;
     }
   }
@@ -171,6 +203,7 @@ TEST(EventStoreRoundTrip, RandomizedSinkOutputParsesIdentically) {
   std::uniform_real_distribution<double> value_dist(-1e6, 1e6);
 
   std::string buffer;
+  std::vector<TraceEvent> source;
   for (int i = 0; i < 600; ++i) {
     const auto kind = static_cast<EventKind>(
         rng() % static_cast<std::uint32_t>(EventKind::kCount));
@@ -198,10 +231,8 @@ TEST(EventStoreRoundTrip, RandomizedSinkOutputParsesIdentically) {
     buffer += format_jsonl(event);
     buffer += '\n';
     if (rng() % 16 == 0) buffer += '\n';  // blank lines are skipped
+    source.push_back(event);
   }
-
-  const std::vector<ParsedEvent> legacy = legacy_parse(buffer);
-  ASSERT_EQ(legacy.size(), 600u);  // the sink never writes malformed lines
 
   for (const unsigned jobs : {1u, 3u}) {
     EventStore store;
@@ -212,7 +243,7 @@ TEST(EventStoreRoundTrip, RandomizedSinkOutputParsesIdentically) {
         << error;
     EXPECT_EQ(stats.malformed, 0u);
     EXPECT_EQ(stats.events, 600u);
-    expect_store_matches_legacy(store, legacy);
+    expect_store_matches_source(store, source);
   }
 }
 
@@ -280,7 +311,10 @@ TEST(EventStoreSharding, JobCountNeverChangesTheStore) {
   }
 }
 
-// ---- malformed accounting vs the legacy reader --------------------------
+// ---- malformed accounting ----------------------------------------------
+//
+// The expected values below are literals captured from the line-by-line
+// reader the store replaced; the store reproduces it byte for byte.
 
 TEST(EventStoreMalformed, AccountingMatchesLegacyReader) {
   const std::string buffer =
@@ -295,107 +329,162 @@ TEST(EventStoreMalformed, AccountingMatchesLegacyReader) {
       "{\"t\":5,\"kind\":\"help_sent\",\"s\":\"bad\\q\"}\n"
       "{\"t\":6,\"kind\":\"help_sent\"}\n";
 
-  const std::string path =
-      ::testing::TempDir() + "event_store_malformed.jsonl";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << buffer;
-  }
-  std::vector<ParsedEvent> legacy;
-  TraceLoadStats legacy_stats;
-  ASSERT_TRUE(load_trace_file(path, legacy, legacy_stats));
-  std::remove(path.c_str());
-
   EventStore store;
   IngestStats stats;
   ASSERT_TRUE(load_trace_buffer(std::string(buffer), store, stats));
-  EXPECT_EQ(stats.lines, legacy_stats.lines);
-  EXPECT_EQ(stats.events, legacy_stats.events);
-  EXPECT_EQ(stats.malformed, legacy_stats.malformed);
-  EXPECT_EQ(stats.first_malformed_line, legacy_stats.first_malformed_line);
-  EXPECT_EQ(stats.first_error, legacy_stats.first_error);
-  expect_store_matches_legacy(store, legacy);
+  EXPECT_EQ(stats.lines, 9u);  // the blank line is not counted...
+  EXPECT_EQ(stats.events, 3u);
+  EXPECT_EQ(stats.malformed, 6u);
+  EXPECT_EQ(stats.first_malformed_line, 3u);  // ...but it is numbered
+  EXPECT_EQ(stats.first_error, "expected '\"' at offset 1");
+
+  ASSERT_EQ(store.size(), 3u);
+  const double times[] = {1.0, 2.0, 6.0};
+  const NodeId nodes[] = {kInvalidNode, 3, kInvalidNode};
+  const char* kinds[] = {"help_sent", "pledge_sent", "help_sent"};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(store[i].time(), times[i]) << i;
+    EXPECT_EQ(store[i].node(), nodes[i]) << i;
+    EXPECT_EQ(store[i].kind(), kinds[i]) << i;
+  }
+  EXPECT_EQ(store[0].field_count(), 0u);
+  ASSERT_EQ(store[1].field_count(), 1u);
+  EXPECT_EQ(store[1].fields_begin()->type, FieldType::kNumber);
+  EXPECT_EQ(store[1].number("episode"), 4.0);
+  EXPECT_EQ(store[2].field_count(), 0u);
 }
 
 TEST(EventStoreMalformed, ErrorStringsMatchParseJsonlLine) {
-  const char* kBadLines[] = {
-      "{broken",
-      "[\"array\"]",
-      "{\"t\":\"x\",\"kind\":\"help_sent\"}",
-      "{\"node\":3,\"kind\":\"help_sent\"}",
-      "{\"t\":1}",
-      "{\"t\":1,\"kind\":\"help_sent\"}  junk",
-      "{\"t\":1,\"kind\":\"help_sent\",\"s\":\"\\q\"}",
-      "{\"t\":1,\"kind\":\"help_sent\",\"s\":\"open",
-      "{\"t\":1,\"kind\":\"help_sent\",,}",
-      "{\"t\":1e,\"kind\":\"help_sent\"}",
+  struct BadLine {
+    const char* line;
+    const char* error;
   };
-  for (const char* line : kBadLines) {
-    ParsedEvent event;
-    std::string legacy_error;
-    ASSERT_FALSE(parse_jsonl_line(line, event, &legacy_error)) << line;
-
+  const BadLine kBadLines[] = {
+      {"{broken", "expected '\"' at offset 1"},
+      {"[\"array\"]", "expected '{' at offset 0"},
+      {"not json", "expected '{' at offset 0"},
+      {"{", "expected '\"' at offset 1"},
+      {"{1:2}", "expected '\"' at offset 1"},
+      {"{\"t\":\"x\",\"kind\":\"help_sent\"}",
+       "record has no \"t\" at offset 28"},
+      {"{\"node\":3,\"kind\":\"help_sent\"}",
+       "record has no \"t\" at offset 29"},
+      {"{\"t\":1}", "record has no \"kind\" at offset 7"},
+      {"{\"t\":1.0,\"node\":2}", "record has no \"kind\" at offset 18"},
+      {"{\"t\":1,\"kind\":7}", "record has no \"kind\" at offset 16"},
+      {"{\"t\":1,\"kind\":\"help_sent\"}  junk",
+       "trailing garbage at offset 28"},
+      {"{\"t\" 1,\"kind\":\"help_sent\"}", "expected ':' at offset 5"},
+      {"{\"t\":1,\"kind\":\"help_sent\",\"s\":\"\\q\"}",
+       "unknown escape at offset 33"},
+      {"{\"t\":1,\"kind\":\"help_sent\",\"s\":\"\\u12\"}",
+       "bad \\u escape at offset 33"},
+      {"{\"t\":1,\"kind\":\"help_sent\",\"s\":\"\\uzzzz\"}",
+       "bad \\u escape at offset 33"},
+      {"{\"t\":1,\"kind\":\"help_sent\",\"s\":\"open",
+       "unterminated string at offset 35"},
+      {"{\"t\":1,\"kind\":\"help_sent\",\"s\":\"tail\\",
+       "unterminated string at offset 36"},
+      {"{\"t\":1,\"kind\":\"help_sent\",,}", "expected '\"' at offset 26"},
+      {"{\"t\":1,\"kind\":\"help_sent\" \"s\":1}",
+       "expected ',' or '}' at offset 26"},
+      {"{\"t\":1e,\"kind\":\"help_sent\"}", "expected ',' or '}' at offset 6"},
+      {"{\"t\":1,\"kind\":\"help_sent\",\"s\":}",
+       "expected number at offset 30"},
+      {"{\"t\":1,\"kind\":\"help_sent\",\"s\":nul}",
+       "expected number at offset 30"},
+  };
+  for (const BadLine& bad : kBadLines) {
     EventStore store;
     IngestStats stats;
-    ASSERT_TRUE(load_trace_buffer(std::string(line) + "\n", store, stats));
-    EXPECT_EQ(stats.malformed, 1u) << line;
-    EXPECT_EQ(stats.first_malformed_line, 1u) << line;
-    EXPECT_EQ(stats.first_error, legacy_error) << line;
+    ASSERT_TRUE(load_trace_buffer(std::string(bad.line) + "\n", store, stats));
+    EXPECT_EQ(store.size(), 0u) << bad.line;
+    EXPECT_EQ(stats.malformed, 1u) << bad.line;
+    EXPECT_EQ(stats.first_malformed_line, 1u) << bad.line;
+    EXPECT_EQ(stats.first_error, bad.error) << bad.line;
   }
 }
 
-// ---- flight dump direct decode vs the FlightDump reader -----------------
+// ---- flight dump direct decode ------------------------------------------
 
-TEST(EventStoreFlight, DirectDecodeMatchesLegacyDumpReader) {
+TEST(EventStoreFlight, DirectDecodeMatchesJsonlStore) {
   const std::string path = ::testing::TempDir() + "event_store_flight.bin";
   FlightRecorder recorder(/*capacity_per_ring=*/8);
   FlightRing& ring0 = recorder.ring(0);
   FlightRing& ring1 = recorder.ring(1);
+  // What each ring will hold at dump time, oldest first.
+  std::vector<TraceEvent> kept0;
+  std::vector<TraceEvent> kept1;
 
-  ring0.on_event(TraceEvent(1.0, 2, EventKind::kHelpSent)
-                     .with("urgency", 0.75)
-                     .with("episode", std::uint64_t{42}));
-  ring0.on_event(TraceEvent(1.5, 3, EventKind::kPledgeSent)
-                     .with("availability", 0.5)
-                     .with("answered", true)
-                     .with("reason", "solicited"));
-  ring0.on_event(TraceEvent(2.0, kInvalidNode, EventKind::kEngineStep)
-                     .with("processed", std::uint64_t{1000}));
-  ring1.on_event(TraceEvent(1.25, 7, EventKind::kNodeSample)
-                     .with("bad", std::numeric_limits<double>::quiet_NaN())
-                     .with("inf", std::numeric_limits<double>::infinity())
-                     .with("ninf",
-                           -std::numeric_limits<double>::infinity()));
-  // Overflow ring1 so dropped > 0 in the dump counters.
+  kept0.push_back(TraceEvent(1.0, 2, EventKind::kHelpSent)
+                      .with("urgency", 0.75)
+                      .with("episode", std::uint64_t{42}));
+  kept0.push_back(TraceEvent(1.5, 3, EventKind::kPledgeSent)
+                      .with("availability", 0.5)
+                      .with("answered", true)
+                      .with("reason", "solicited"));
+  kept0.push_back(TraceEvent(2.0, kInvalidNode, EventKind::kEngineStep)
+                      .with("processed", std::uint64_t{1000}));
+  kept0.push_back(TraceEvent(3.0, 7, EventKind::kNodeSample)
+                      .with("bad", std::numeric_limits<double>::quiet_NaN())
+                      .with("inf", std::numeric_limits<double>::infinity())
+                      .with("ninf", -std::numeric_limits<double>::infinity()));
+  for (const TraceEvent& event : kept0) ring0.on_event(event);
+  // Overflow ring1 so dropped > 0 in the dump counters; the last eight
+  // survive, and ring0's t=3.0 record ties with ring1's first survivor.
   for (int i = 0; i < 12; ++i) {
-    ring1.on_event(TraceEvent(3.0 + i, 7, EventKind::kSystemSample)
-                       .with("i", static_cast<std::uint64_t>(i)));
+    const TraceEvent event = TraceEvent(i - 1.0, 7, EventKind::kSystemSample)
+                                 .with("i", static_cast<std::uint64_t>(i));
+    ring1.on_event(event);
+    if (i >= 4) kept1.push_back(event);
   }
   ASSERT_TRUE(recorder.dump(path));
-
-  FlightDump dump;
-  std::string error;
-  ASSERT_TRUE(load_flight_file(path, dump, &error)) << error;
 
   EventStore store;
   FlightStoreInfo info;
   TraceLoadStats stats;
+  std::string error;
   ASSERT_TRUE(load_flight_file(path, store, info, stats, &error)) << error;
   std::remove(path.c_str());
 
-  EXPECT_EQ(info.truncated, dump.truncated);
-  EXPECT_EQ(info.total_recorded(), dump.total_recorded());
-  EXPECT_EQ(info.total_dropped(), dump.total_dropped());
-  ASSERT_EQ(info.rings.size(), dump.rings.size());
-  for (std::size_t i = 0; i < info.rings.size(); ++i) {
-    EXPECT_EQ(info.rings[i].source, dump.rings[i].source);
-    EXPECT_EQ(info.rings[i].recorded, dump.rings[i].recorded);
-    EXPECT_EQ(info.rings[i].dropped, dump.rings[i].dropped);
-    EXPECT_EQ(info.rings[i].stored, dump.rings[i].stored);
-  }
-  EXPECT_EQ(stats.malformed, dump.malformed);
-  EXPECT_EQ(stats.events, dump.events.size());
-  expect_store_matches_legacy(store, dump.events);
+  EXPECT_FALSE(info.truncated);
+  ASSERT_EQ(info.rings.size(), 2u);
+  EXPECT_EQ(info.rings[0].source, 0u);
+  EXPECT_EQ(info.rings[0].recorded, 4u);
+  EXPECT_EQ(info.rings[0].dropped, 0u);
+  EXPECT_EQ(info.rings[0].stored, 4u);
+  EXPECT_EQ(info.rings[1].source, 1u);
+  EXPECT_EQ(info.rings[1].recorded, 12u);
+  EXPECT_EQ(info.rings[1].dropped, 4u);
+  EXPECT_EQ(info.rings[1].stored, 8u);
+  EXPECT_EQ(info.total_recorded(), 16u);
+  EXPECT_EQ(info.total_dropped(), 4u);
+  EXPECT_EQ(stats.lines, 12u);
+  EXPECT_EQ(stats.events, 12u);
+  EXPECT_EQ(stats.malformed, 0u);
+
+  // The JSONL trace of the same surviving events, in the dump's merge
+  // order: by time, ties in ring order.
+  std::vector<TraceEvent> merged = kept0;
+  merged.insert(merged.end(), kept1.begin(), kept1.end());
+  std::stable_sort(merged.begin(), merged.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.time < b.time;
+                   });
+  std::string jsonl;
+  for (const TraceEvent& event : merged) jsonl += format_jsonl(event) + "\n";
+  EventStore from_jsonl;
+  IngestStats jsonl_stats;
+  ASSERT_TRUE(load_trace_buffer(std::move(jsonl), from_jsonl, jsonl_stats));
+  ASSERT_EQ(jsonl_stats.malformed, 0u);
+
+  expect_same_records(store, from_jsonl);
+  // Non-finite doubles come back as the strings the JSONL sink quotes.
+  const EventView sample = store[3];
+  ASSERT_EQ(sample.kind(), "node_sample");
+  ASSERT_NE(sample.find("ninf"), nullptr);
+  EXPECT_EQ(sample.find("ninf")->type, FieldType::kString);
+  EXPECT_EQ(sample.find("ninf")->text, "-inf");
 }
 
 TEST(EventStoreFlight, TruncatedDumpSalvagesLikeLegacyReader) {
@@ -424,21 +513,33 @@ TEST(EventStoreFlight, TruncatedDumpSalvagesLikeLegacyReader) {
     out << bytes;
   }
 
-  FlightDump dump;
-  std::string error;
-  ASSERT_TRUE(load_flight_file(path, dump, &error)) << error;
-  ASSERT_TRUE(dump.truncated);
-  ASSERT_GT(dump.malformed, 0u);
-
   EventStore store;
   FlightStoreInfo info;
   TraceLoadStats stats;
+  std::string error;
   ASSERT_TRUE(load_flight_file(path, store, info, stats, &error)) << error;
   std::remove(path.c_str());
 
+  // Literal salvage counts, captured from the record-vector decoder the
+  // store decode replaced: 23 intact records before the cut, the other
+  // 17 the ring header promised are accounted as lost.
   EXPECT_TRUE(info.truncated);
-  EXPECT_EQ(stats.malformed, dump.malformed);
-  expect_store_matches_legacy(store, dump.events);
+  ASSERT_EQ(info.rings.size(), 1u);
+  EXPECT_EQ(stats.lines, 40u);
+  EXPECT_EQ(stats.events, 23u);
+  EXPECT_EQ(stats.malformed, 17u);
+  EXPECT_EQ(stats.first_malformed_line, 24u);
+  EXPECT_EQ(stats.first_error, "truncated record");
+  ASSERT_EQ(store.size(), 23u);
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    const EventView view = store[i];
+    EXPECT_EQ(view.time(), static_cast<double>(i));
+    EXPECT_EQ(view.node(), i % 5);
+    EXPECT_EQ(view.kind(), "node_sample");
+    EXPECT_EQ(view.number("cpu"), 0.25);
+    ASSERT_NE(view.find("tag"), nullptr);
+    EXPECT_EQ(view.find("tag")->text, "steady");
+  }
 }
 
 // ---- allocation behavior ------------------------------------------------

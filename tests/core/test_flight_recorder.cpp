@@ -14,16 +14,27 @@
 #include <vector>
 
 #include "experiment/simulation.hpp"
+#include "obs/event_store.hpp"
 #include "obs/flight_reader.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/jsonl_sink.hpp"
-#include "obs/trace_reader.hpp"
 
 namespace realtor::obs {
 namespace {
 
 std::string temp_path(const char* name) {
   return ::testing::TempDir() + name;
+}
+
+/// One loaded dump: the decoded records plus ring and loss accounting.
+struct Dump {
+  EventStore events;
+  FlightStoreInfo info;
+  TraceLoadStats stats;
+};
+
+bool load_dump(const std::string& path, Dump& dump, std::string* error) {
+  return load_flight_file(path, dump.events, dump.info, dump.stats, error);
 }
 
 TraceEvent numbered(double time, std::uint64_t seq) {
@@ -83,34 +94,34 @@ TEST(FlightRecorder, DumpRoundTripsEveryPayloadType) {
   ASSERT_TRUE(recorder.dump(path));
 
   ASSERT_TRUE(is_flight_file(path));
-  FlightDump dump;
+  Dump dump;
   std::string error;
-  ASSERT_TRUE(load_flight_file(path, dump, &error)) << error;
+  ASSERT_TRUE(load_dump(path, dump, &error)) << error;
   ASSERT_EQ(dump.events.size(), 2u);
 
-  const ParsedEvent& first = dump.events[0];
-  EXPECT_DOUBLE_EQ(first.time, 2.5);
-  EXPECT_EQ(first.node, 3u);
-  EXPECT_EQ(first.kind, "pledge_received");
+  const EventView first = dump.events[0];
+  EXPECT_DOUBLE_EQ(first.time(), 2.5);
+  EXPECT_EQ(first.node(), 3u);
+  EXPECT_EQ(first.kind(), "pledge_received");
   EXPECT_DOUBLE_EQ(first.number("episode"), 42.0);
   EXPECT_DOUBLE_EQ(first.number("availability"), 0.625);
-  const JsonValue* reason = first.find("reason");
+  const StoredField* reason = first.find("reason");
   ASSERT_NE(reason, nullptr);
-  EXPECT_EQ(reason->type, JsonValue::Type::kString);
+  EXPECT_EQ(reason->type, FieldType::kString);
   EXPECT_EQ(reason->text, "capacity");
-  const JsonValue* answered = first.find("answered");
+  const StoredField* answered = first.find("answered");
   ASSERT_NE(answered, nullptr);
-  EXPECT_EQ(answered->type, JsonValue::Type::kBool);
+  EXPECT_EQ(answered->type, FieldType::kBool);
   EXPECT_TRUE(answered->boolean);
   // Non-finite doubles read back as the quoted strings the JSONL sink
   // would have written.
-  const JsonValue* bad = first.find("bad");
+  const StoredField* bad = first.find("bad");
   ASSERT_NE(bad, nullptr);
-  EXPECT_EQ(bad->type, JsonValue::Type::kString);
+  EXPECT_EQ(bad->type, FieldType::kString);
   EXPECT_EQ(bad->text, "nan");
 
   // The system-wide record keeps its omitted-node sentinel.
-  EXPECT_EQ(dump.events[1].node, kInvalidNode);
+  EXPECT_EQ(dump.events[1].node(), kInvalidNode);
   std::remove(path.c_str());
 }
 
@@ -125,7 +136,6 @@ TEST(FlightRecorder, RepeatedDumpsOfOneRunAreByteIdentical) {
   ASSERT_TRUE(recorder.dump(path_a));
   ASSERT_TRUE(recorder.dump(path_b));
 
-  std::vector<ParsedEvent> ignored;
   std::string a;
   std::string b;
   for (auto [path, out] : {std::pair{&path_a, &a}, std::pair{&path_b, &b}}) {
@@ -153,15 +163,15 @@ TEST(FlightRecorder, MultiRingDumpMergesByTime) {
   b.on_event(numbered(4.0, 3));
   ASSERT_TRUE(recorder.dump(path));
 
-  FlightDump dump;
+  Dump dump;
   std::string error;
-  ASSERT_TRUE(load_flight_file(path, dump, &error)) << error;
-  ASSERT_EQ(dump.rings.size(), 2u);
-  EXPECT_EQ(dump.rings[0].source, 10u);
-  EXPECT_EQ(dump.rings[1].source, 11u);
+  ASSERT_TRUE(load_dump(path, dump, &error)) << error;
+  ASSERT_EQ(dump.info.rings.size(), 2u);
+  EXPECT_EQ(dump.info.rings[0].source, 10u);
+  EXPECT_EQ(dump.info.rings[1].source, 11u);
   ASSERT_EQ(dump.events.size(), 4u);
   for (std::size_t i = 0; i + 1 < dump.events.size(); ++i) {
-    EXPECT_LE(dump.events[i].time, dump.events[i + 1].time);
+    EXPECT_LE(dump.events[i].time(), dump.events[i + 1].time());
   }
   std::remove(path.c_str());
 }
@@ -178,26 +188,30 @@ experiment::ScenarioConfig attack_scenario() {
   return config;
 }
 
-bool same_event(const ParsedEvent& a, const ParsedEvent& b) {
-  if (a.time != b.time || a.node != b.node || a.kind != b.kind ||
-      a.fields.size() != b.fields.size()) {
+/// Record `i` of both stores carries the same header and payload, compared
+/// by name and value (intern ids differ between JSONL and flight loads).
+bool same_event(const EventStore& a, const EventStore& b, std::size_t i) {
+  const EventView va = a[i];
+  const EventView vb = b[i];
+  if (va.time() != vb.time() || va.node() != vb.node() ||
+      va.kind() != vb.kind() || va.field_count() != vb.field_count()) {
     return false;
   }
-  for (std::size_t i = 0; i < a.fields.size(); ++i) {
-    const auto& [key_a, value_a] = a.fields[i];
-    const auto& [key_b, value_b] = b.fields[i];
-    if (key_a != key_b || value_a.type != value_b.type) return false;
-    switch (value_a.type) {
-      case JsonValue::Type::kNumber:
-        if (value_a.number != value_b.number) return false;
+  for (std::size_t f = 0; f < va.field_count(); ++f) {
+    const StoredField& fa = va.fields_begin()[f];
+    const StoredField& fb = vb.fields_begin()[f];
+    if (a.name(fa.key) != b.name(fb.key) || fa.type != fb.type) return false;
+    switch (fa.type) {
+      case FieldType::kNumber:
+        if (fa.number != fb.number) return false;
         break;
-      case JsonValue::Type::kString:
-        if (value_a.text != value_b.text) return false;
+      case FieldType::kString:
+        if (fa.text != fb.text) return false;
         break;
-      case JsonValue::Type::kBool:
-        if (value_a.boolean != value_b.boolean) return false;
+      case FieldType::kBool:
+        if (fa.boolean != fb.boolean) return false;
         break;
-      case JsonValue::Type::kNull:
+      case FieldType::kNull:
         break;
     }
   }
@@ -225,17 +239,21 @@ TEST(FlightRecorder, MatchesJsonlTraceOfTheSameRun) {
   }
   EXPECT_EQ(recorder.total_dropped(), 0u);
 
-  std::vector<ParsedEvent> jsonl_events;
+  EventStore jsonl_events;
+  IngestStats jsonl_stats;
   std::string error;
-  ASSERT_TRUE(load_trace_file(jsonl_path, jsonl_events, &error)) << error;
-  FlightDump dump;
-  ASSERT_TRUE(load_flight_file(flight_path, dump, &error)) << error;
+  ASSERT_TRUE(load_trace_store(jsonl_path, jsonl_events, jsonl_stats, &error))
+      << error;
+  ASSERT_EQ(jsonl_stats.malformed, 0u);
+  Dump dump;
+  ASSERT_TRUE(load_dump(flight_path, dump, &error)) << error;
+  ASSERT_EQ(dump.stats.malformed, 0u);
 
   ASSERT_EQ(dump.events.size(), jsonl_events.size());
   ASSERT_GT(jsonl_events.size(), 1000u);  // a real run, not a stub
   for (std::size_t i = 0; i < jsonl_events.size(); ++i) {
-    ASSERT_TRUE(same_event(jsonl_events[i], dump.events[i]))
-        << "event " << i << " diverged (" << jsonl_events[i].kind << ")";
+    ASSERT_TRUE(same_event(jsonl_events, dump.events, i))
+        << "event " << i << " diverged (" << jsonl_events[i].kind() << ")";
   }
   std::remove(jsonl_path.c_str());
   std::remove(flight_path.c_str());
@@ -258,16 +276,16 @@ TEST(FlightRecorder, AttackDumpCapturesThePreKillWindow) {
   ASSERT_EQ(dumps, 1u);
   ASSERT_GT(kill_time, 0.0);
 
-  FlightDump dump;
+  Dump dump;
   std::string error;
-  ASSERT_TRUE(load_flight_file(path, dump, &error)) << error;
+  ASSERT_TRUE(load_dump(path, dump, &error)) << error;
   ASSERT_FALSE(dump.events.empty());
   std::size_t kills = 0;
-  for (const ParsedEvent& event : dump.events) {
+  for (std::size_t i = 0; i < dump.events.size(); ++i) {
     // Snapshot taken right after the kills landed: nothing from the
     // post-attack future can be in the file.
-    ASSERT_LE(event.time, kill_time);
-    if (event.kind == "node_killed") ++kills;
+    ASSERT_LE(dump.events[i].time(), kill_time);
+    if (dump.events[i].kind() == "node_killed") ++kills;
   }
   EXPECT_EQ(kills, 3u);  // the wave's victims, captured mid-flight
   std::remove(path.c_str());
@@ -312,9 +330,9 @@ TEST(FlightReader, ByteTruncatedDumpsSalvageOrFailButNeverCrash) {
   for (std::size_t len = 0; len <= full.size(); ++len) {
     SCOPED_TRACE("prefix length " + std::to_string(len));
     spit(path, full.substr(0, len));
-    FlightDump dump;
+    Dump dump;
     std::string error;
-    const bool loaded = load_flight_file(path, dump, &error);
+    const bool loaded = load_dump(path, dump, &error);
     if (len < records_begin) {
       // The cut landed in the header (magic, name table, ring count or
       // the first ring header): nothing salvageable, clean failure.
@@ -325,14 +343,18 @@ TEST(FlightReader, ByteTruncatedDumpsSalvageOrFailButNeverCrash) {
     ASSERT_TRUE(loaded) << error;
     // Salvage accounting: every record the ring header promised is either
     // a parsed event or counted as unrecoverable — none vanish silently.
-    ASSERT_EQ(dump.rings.size(), 1u);
-    EXPECT_EQ(dump.events.size() + dump.malformed, kRecords);
+    ASSERT_EQ(dump.info.rings.size(), 1u);
+    EXPECT_EQ(dump.events.size() + dump.stats.malformed, kRecords);
+    EXPECT_EQ(dump.stats.lines, kRecords);
     const std::uint64_t intact =
         (len - records_begin) / sizeof(FlightRecord);
     EXPECT_EQ(dump.events.size(), intact);
-    EXPECT_EQ(dump.truncated, len < full.size());
+    EXPECT_EQ(dump.info.truncated, len < full.size());
     if (len == full.size()) {
-      EXPECT_EQ(dump.malformed, 0u);
+      EXPECT_EQ(dump.stats.malformed, 0u);
+    } else {
+      EXPECT_EQ(dump.stats.first_malformed_line, intact + 1);
+      EXPECT_EQ(dump.stats.first_error, "truncated record");
     }
   }
   std::remove(path.c_str());
@@ -353,16 +375,18 @@ TEST(FlightReader, CorruptRecordIsCountedAndTheRestStillLoad) {
       static_cast<char>(0xFF);
   spit(path, bytes);
 
-  FlightDump dump;
+  Dump dump;
   std::string error;
-  ASSERT_TRUE(load_flight_file(path, dump, &error)) << error;
+  ASSERT_TRUE(load_dump(path, dump, &error)) << error;
   // Fixed-width records keep the cursor aligned past the damage: exactly
   // one record is lost, the remaining seven parse normally.
-  EXPECT_EQ(dump.malformed, 1u);
-  EXPECT_FALSE(dump.truncated);
+  EXPECT_EQ(dump.stats.malformed, 1u);
+  EXPECT_EQ(dump.stats.first_malformed_line, 4u);
+  EXPECT_EQ(dump.stats.first_error, "unknown event kind");
+  EXPECT_FALSE(dump.info.truncated);
   ASSERT_EQ(dump.events.size(), kRecords - 1);
-  for (const ParsedEvent& event : dump.events) {
-    EXPECT_EQ(event.kind, "help_sent");
+  for (std::size_t i = 0; i < dump.events.size(); ++i) {
+    EXPECT_EQ(dump.events[i].kind(), "help_sent");
   }
   std::remove(path.c_str());
 }
@@ -385,15 +409,15 @@ TEST(FlightReader, SecondRingHeaderCutSalvagesTheFirstRing) {
                                           sizeof(FlightRingInfo);
   spit(path, bytes.substr(0, second_header_begin + 4));
 
-  FlightDump dump;
+  Dump dump;
   std::string error;
-  ASSERT_TRUE(load_flight_file(path, dump, &error)) << error;
-  EXPECT_TRUE(dump.truncated);
-  ASSERT_EQ(dump.rings.size(), 1u);
-  EXPECT_EQ(dump.rings[0].source, 10u);
+  ASSERT_TRUE(load_dump(path, dump, &error)) << error;
+  EXPECT_TRUE(dump.info.truncated);
+  ASSERT_EQ(dump.info.rings.size(), 1u);
+  EXPECT_EQ(dump.info.rings[0].source, 10u);
   ASSERT_EQ(dump.events.size(), 2u);
-  EXPECT_DOUBLE_EQ(dump.events[0].time, 1.0);
-  EXPECT_DOUBLE_EQ(dump.events[1].time, 2.0);
+  EXPECT_DOUBLE_EQ(dump.events[0].time(), 1.0);
+  EXPECT_DOUBLE_EQ(dump.events[1].time(), 2.0);
   std::remove(path.c_str());
 }
 
@@ -404,9 +428,9 @@ TEST(FlightDumpSink, DumpsOnFlushAndOnDestruction) {
     sink.on_event(numbered(1.0, 0));
     sink.flush();
   }
-  FlightDump dump;
+  Dump dump;
   std::string error;
-  ASSERT_TRUE(load_flight_file(path, dump, &error)) << error;
+  ASSERT_TRUE(load_dump(path, dump, &error)) << error;
   ASSERT_EQ(dump.events.size(), 1u);
   std::remove(path.c_str());
 
@@ -415,9 +439,9 @@ TEST(FlightDumpSink, DumpsOnFlushAndOnDestruction) {
     sink.on_event(numbered(2.0, 1));
     // No flush: the destructor must still write the file.
   }
-  ASSERT_TRUE(load_flight_file(path, dump, &error)) << error;
+  ASSERT_TRUE(load_dump(path, dump, &error)) << error;
   ASSERT_EQ(dump.events.size(), 1u);
-  EXPECT_DOUBLE_EQ(dump.events[0].time, 2.0);
+  EXPECT_DOUBLE_EQ(dump.events[0].time(), 2.0);
   std::remove(path.c_str());
 }
 

@@ -8,11 +8,11 @@
 #include <vector>
 
 #include "common/log.hpp"
+#include "obs/event_store.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
-#include "obs/trace_reader.hpp"
 #include "sim/engine.hpp"
 
 namespace realtor::obs {
@@ -109,8 +109,11 @@ TEST(JsonlFormat, NonFiniteDoublesAreQuoted) {
   EXPECT_NE(line.find("\"bad\":\"nan\""), std::string::npos);
   EXPECT_NE(line.find("\"inf\":\"inf\""), std::string::npos);
   // And the reader still accepts the line.
-  ParsedEvent parsed;
-  EXPECT_TRUE(parse_jsonl_line(line, parsed));
+  EventStore store;
+  IngestStats stats;
+  ASSERT_TRUE(load_trace_buffer(line + "\n", store, stats));
+  EXPECT_EQ(stats.malformed, 0u);
+  EXPECT_EQ(store.size(), 1u);
 }
 
 TEST(JsonlSink, WritesOneLinePerEvent) {
@@ -128,55 +131,67 @@ TEST(JsonlSink, WritesOneLinePerEvent) {
 TEST(TraceReader, RoundTripsFormattedEvents) {
   TraceEvent event(3.25, 9, EventKind::kPledgeReceived);
   event.with("pledger", 4).with("availability", 0.625).with("fresh", true);
-  ParsedEvent parsed;
-  std::string error;
-  ASSERT_TRUE(parse_jsonl_line(format_jsonl(event), parsed, &error)) << error;
-  EXPECT_DOUBLE_EQ(parsed.time, 3.25);
-  EXPECT_EQ(parsed.node, 9u);
-  EXPECT_EQ(parsed.kind, "pledge_received");
+  EventStore store;
+  IngestStats stats;
+  ASSERT_TRUE(load_trace_buffer(format_jsonl(event), store, stats));
+  ASSERT_EQ(stats.malformed, 0u) << stats.first_error;
+  ASSERT_EQ(store.size(), 1u);
+  const EventView parsed = store[0];
+  EXPECT_DOUBLE_EQ(parsed.time(), 3.25);
+  EXPECT_EQ(parsed.node(), 9u);
+  EXPECT_EQ(parsed.kind(), "pledge_received");
   EXPECT_DOUBLE_EQ(parsed.number("pledger"), 4.0);
   EXPECT_DOUBLE_EQ(parsed.number("availability"), 0.625);
-  const JsonValue* fresh = parsed.find("fresh");
+  const StoredField* fresh = parsed.find("fresh");
   ASSERT_NE(fresh, nullptr);
-  EXPECT_EQ(fresh->type, JsonValue::Type::kBool);
+  EXPECT_EQ(fresh->type, FieldType::kBool);
   EXPECT_TRUE(fresh->boolean);
   EXPECT_EQ(parsed.find("absent"), nullptr);
   EXPECT_DOUBLE_EQ(parsed.number("absent", -1.0), -1.0);
 }
 
 TEST(TraceReader, RejectsMalformedLinesWithPosition) {
-  ParsedEvent parsed;
-  std::string error;
-  EXPECT_FALSE(parse_jsonl_line("not json", parsed, &error));
-  EXPECT_NE(error.find("offset"), std::string::npos);
-  EXPECT_FALSE(parse_jsonl_line(R"({"node":1,"kind":"solicit"})", parsed,
-                                &error));  // missing "t"
-  EXPECT_FALSE(parse_jsonl_line(R"({"t":1.0,"node":2})", parsed,
-                                &error));  // missing "kind"
+  for (const char* line : {
+           "not json",
+           R"({"node":1,"kind":"solicit"})",  // missing "t"
+           R"({"t":1.0,"node":2})",           // missing "kind"
+       }) {
+    EventStore store;
+    IngestStats stats;
+    ASSERT_TRUE(load_trace_buffer(line, store, stats));
+    EXPECT_EQ(store.size(), 0u) << line;
+    EXPECT_EQ(stats.malformed, 1u) << line;
+    EXPECT_NE(stats.first_error.find("offset"), std::string::npos) << line;
+  }
 }
 
 TEST(TraceReader, LoadsFileAndReportsBadLineNumber) {
   const std::string path =
-      ::testing::TempDir() + "realtor_trace_reader_test.jsonl";
+      ::testing::TempDir() + "realtor_trace_load_test.jsonl";
   {
     std::ofstream out(path);
     out << format_jsonl(TraceEvent(1.0, 0, EventKind::kHelpSent)) << '\n';
     out << '\n';  // blank lines are tolerated
     out << format_jsonl(TraceEvent(2.0, 1, EventKind::kPledgeSent)) << '\n';
   }
-  std::vector<ParsedEvent> events;
+  EventStore store;
+  IngestStats stats;
   std::string error;
-  ASSERT_TRUE(load_trace_file(path, events, &error)) << error;
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[1].kind, "pledge_sent");
+  ASSERT_TRUE(load_trace_store(path, store, stats, &error)) << error;
+  ASSERT_EQ(store.size(), 2u);
+  EXPECT_EQ(store[1].kind(), "pledge_sent");
+  EXPECT_EQ(stats.malformed, 0u);
 
   {
     std::ofstream out(path, std::ios::app);
     out << "{broken\n";
   }
-  events.clear();
-  EXPECT_FALSE(load_trace_file(path, events, &error));
-  EXPECT_NE(error.find("line 4"), std::string::npos) << error;
+  ASSERT_TRUE(load_trace_store(path, store, stats, &error)) << error;
+  // The position realtor_trace reports: blank lines count toward the
+  // line number.
+  EXPECT_EQ(stats.malformed, 1u);
+  EXPECT_EQ(stats.first_malformed_line, 4u);
+  EXPECT_EQ(stats.first_error, "expected '\"' at offset 1");
   std::remove(path.c_str());
 }
 
@@ -190,13 +205,13 @@ TEST(TraceReader, TolerantLoadCountsMalformedLinesInsteadOfAborting) {
     out << format_jsonl(TraceEvent(2.0, 1, EventKind::kPledgeSent)) << '\n';
     out << "also not json\n";
   }
-  std::vector<ParsedEvent> events;
-  TraceLoadStats stats;
+  EventStore store;
+  IngestStats stats;
   std::string error;
-  ASSERT_TRUE(load_trace_file(path, events, stats, &error)) << error;
+  ASSERT_TRUE(load_trace_store(path, store, stats, &error)) << error;
   // Every parsable event survives; nothing is silently dropped.
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[1].kind, "pledge_sent");
+  ASSERT_EQ(store.size(), 2u);
+  EXPECT_EQ(store[1].kind(), "pledge_sent");
   EXPECT_EQ(stats.lines, 4u);
   EXPECT_EQ(stats.events, 2u);
   EXPECT_EQ(stats.malformed, 2u);
@@ -204,8 +219,9 @@ TEST(TraceReader, TolerantLoadCountsMalformedLinesInsteadOfAborting) {
   EXPECT_FALSE(stats.first_error.empty());
   std::remove(path.c_str());
 
-  // Only an unreadable path fails the tolerant variant.
-  EXPECT_FALSE(load_trace_file(path, events, stats, &error));
+  // Only an unreadable path fails the load.
+  EXPECT_FALSE(load_trace_store(path, store, stats, &error));
+  EXPECT_EQ(error, "cannot open " + path);
 }
 
 TEST(JsonlSink, BufferedModeKeepsOrderAndFlushDrains) {

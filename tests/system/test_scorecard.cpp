@@ -12,12 +12,12 @@
 
 #include "experiment/simulation.hpp"
 #include "experiment/sweep.hpp"
+#include "obs/event_store.hpp"
 #include "obs/flight_reader.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/invariants.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "obs/scorecard.hpp"
-#include "obs/trace_reader.hpp"
 
 namespace realtor::obs {
 namespace {
@@ -34,8 +34,15 @@ experiment::ScenarioConfig attack_scenario() {
   return config;
 }
 
-std::vector<ParsedEvent> traced_run() {
-  const std::string path = ::testing::TempDir() + "scorecard_run.jsonl";
+/// Runs the attack scenario into a JSONL trace and loads it back. The
+/// file is named after the running test: ctest runs each TEST as its own
+/// process, concurrently, and must not share one scratch file.
+EventStore traced_run() {
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string path = ::testing::TempDir() + "scorecard_" +
+                           test->test_suite_name() + "_" + test->name() +
+                           ".jsonl";
   {
     experiment::Simulation sim(attack_scenario());
     JsonlSink sink(path);
@@ -43,16 +50,29 @@ std::vector<ParsedEvent> traced_run() {
     sim.run();
     sink.flush();
   }
-  std::vector<ParsedEvent> events;
+  EventStore events;
+  IngestStats stats;
   std::string error;
-  const bool loaded = load_trace_file(path, events, &error);
+  const bool loaded = load_trace_store(path, events, stats, &error);
   std::remove(path.c_str());
   if (!loaded) ADD_FAILURE() << error;
+  EXPECT_EQ(stats.malformed, 0u) << stats.first_error;
+  return events;
+}
+
+/// Loads a flight dump, failing the test when it is unreadable or lossy.
+EventStore load_dump(const std::string& path) {
+  EventStore events;
+  FlightStoreInfo info;
+  TraceLoadStats stats;
+  std::string error;
+  EXPECT_TRUE(load_flight_file(path, events, info, stats, &error)) << error;
+  EXPECT_EQ(stats.malformed, 0u) << stats.first_error;
   return events;
 }
 
 TEST(Scorecard, AttributesTheAttackWave) {
-  const std::vector<ParsedEvent> events = traced_run();
+  const EventStore events = traced_run();
   const Scorecard card = build_scorecard(events);
 
   EXPECT_EQ(card.records, events.size());
@@ -74,8 +94,8 @@ TEST(Scorecard, AttributesTheAttackWave) {
 }
 
 TEST(Scorecard, JsonIsByteIdenticalAcrossRepeatedRuns) {
-  const std::vector<ParsedEvent> first = traced_run();
-  const std::vector<ParsedEvent> second = traced_run();
+  const EventStore first = traced_run();
+  const EventStore second = traced_run();
   const std::string json_a = render_scorecard_json(build_scorecard(first));
   const std::string json_b = render_scorecard_json(build_scorecard(second));
   EXPECT_EQ(json_a, json_b);
@@ -85,7 +105,7 @@ TEST(Scorecard, JsonIsByteIdenticalAcrossRepeatedRuns) {
 }
 
 TEST(Scorecard, FlightDumpAndJsonlAgree) {
-  const std::vector<ParsedEvent> jsonl_events = traced_run();
+  const EventStore jsonl_events = traced_run();
 
   const std::string path = ::testing::TempDir() + "scorecard_flight.bin";
   FlightRecorder recorder(1 << 20);
@@ -95,13 +115,11 @@ TEST(Scorecard, FlightDumpAndJsonlAgree) {
     sim.run();
     ASSERT_TRUE(recorder.dump(path));
   }
-  FlightDump dump;
-  std::string error;
-  ASSERT_TRUE(load_flight_file(path, dump, &error)) << error;
+  const EventStore dump = load_dump(path);
   std::remove(path.c_str());
 
   EXPECT_EQ(render_scorecard_json(build_scorecard(jsonl_events)),
-            render_scorecard_json(build_scorecard(dump.events)));
+            render_scorecard_json(build_scorecard(dump)));
 }
 
 TEST(Scorecard, ByteIdenticalAcrossSweepJobCounts) {
@@ -131,10 +149,8 @@ TEST(Scorecard, ByteIdenticalAcrossSweepJobCounts) {
     std::sort(paths.begin(), paths.end());
     std::vector<std::string> rendered;
     for (const std::string& path : paths) {
-      FlightDump dump;
-      std::string error;
-      EXPECT_TRUE(load_flight_file(path, dump, &error)) << error;
-      rendered.push_back(render_scorecard_json(build_scorecard(dump.events)));
+      rendered.push_back(
+          render_scorecard_json(build_scorecard(load_dump(path))));
       std::remove(path.c_str());
     }
     return rendered;
@@ -155,12 +171,11 @@ TEST(Scorecard, FlightDumpPassesTheInvariantChecker) {
     sim.run();
     ASSERT_TRUE(recorder.dump(path));
   }
-  FlightDump dump;
-  std::string error;
-  ASSERT_TRUE(load_flight_file(path, dump, &error)) << error;
+  const EventStore dump = load_dump(path);
   std::remove(path.c_str());
+  ASSERT_GT(dump.size(), 1000u);  // a real run, not a stub
 
-  const std::vector<Violation> violations = check_invariants(dump.events);
+  const std::vector<Violation> violations = check_invariants(dump);
   EXPECT_TRUE(violations.empty())
       << violations.size() << " violations, first: "
       << (violations.empty() ? "" : violations[0].detail);

@@ -101,7 +101,6 @@
 #include "obs/scorecard.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
-#include "obs/trace_reader.hpp"
 
 namespace {
 
@@ -120,16 +119,16 @@ struct KindSummary {
 
 std::string format_value(const obs::StoredField& field) {
   switch (field.type) {
-    case obs::JsonValue::Type::kNumber: {
+    case obs::FieldType::kNumber: {
       char buf[32];
       format_double(buf, sizeof buf, "%g", field.number);
       return buf;
     }
-    case obs::JsonValue::Type::kString:
+    case obs::FieldType::kString:
       return std::string(field.text);
-    case obs::JsonValue::Type::kBool:
+    case obs::FieldType::kBool:
       return field.boolean ? "true" : "false";
-    case obs::JsonValue::Type::kNull:
+    case obs::FieldType::kNull:
       return "null";
   }
   return "";
@@ -529,6 +528,29 @@ std::uint64_t file_size_of(const std::string& path) {
   return pos > 0 ? static_cast<std::uint64_t>(pos) : 0;
 }
 
+/// One load of the input file: a JSONL trace or, detected by its magic,
+/// a flight dump.
+struct Input {
+  obs::EventStore store;
+  obs::IngestStats stats;  // for a dump: its accounting and file size
+  bool flight = false;
+  obs::FlightStoreInfo rings;  // dumps only
+};
+
+bool load_input(const std::string& path, unsigned jobs, Input& in,
+                std::string* error) {
+  in.flight = obs::is_flight_file(path);
+  if (!in.flight) {
+    return obs::load_trace_store(path, in.store, in.stats, error, jobs);
+  }
+  in.stats = obs::IngestStats{};
+  if (!obs::load_flight_file(path, in.store, in.rings, in.stats, error)) {
+    return false;
+  }
+  in.stats.bytes = file_size_of(path);
+  return true;
+}
+
 /// One --follow dashboard frame rendered from a freshly loaded store.
 void render_follow_frame(const obs::EventStore& store,
                          const std::string& path, std::uint64_t frame,
@@ -706,26 +728,6 @@ int run_follow(const std::string& path, const Flags& flags, unsigned jobs) {
   // Reloads the whole file; incremental tailing would be unsound for
   // flight dumps (rewritten, not appended) and buys little for JSONL at
   // dashboard cadence.
-  std::uint64_t dropped = 0;
-  const auto load = [&](obs::EventStore& store, std::string* error) {
-    dropped = 0;
-    if (obs::is_flight_file(path)) {
-      obs::FlightStoreInfo info;
-      obs::TraceLoadStats fstats;
-      if (!obs::load_flight_file(path, store, info, fstats, error)) {
-        return false;
-      }
-      dropped = fstats.malformed;
-      return true;
-    }
-    obs::IngestStats istats;
-    if (!obs::load_trace_store(path, store, istats, error, jobs)) {
-      return false;
-    }
-    dropped = istats.malformed;
-    return true;
-  };
-
   std::uint64_t last_size = ~0ull;
   std::uint64_t frames = 0;
   auto last_change = std::chrono::steady_clock::now();
@@ -737,9 +739,9 @@ int run_follow(const std::string& path, const Flags& flags, unsigned jobs) {
     if (size != last_size) {
       last_size = size;
       last_change = std::chrono::steady_clock::now();
-      obs::EventStore store;
+      Input input;
       std::string error;
-      if (!load(store, &error)) {
+      if (!load_input(path, jobs, input, &error)) {
         if (!loaded_once) {
           std::cerr << path << ": " << error << '\n';
           return kExitUsage;
@@ -749,9 +751,10 @@ int run_follow(const std::string& path, const Flags& flags, unsigned jobs) {
       } else {
         loaded_once = true;
         ++frames;
-        render_follow_frame(store, path, frames, dropped, plain);
-        final_store = std::move(store);
-        final_dropped = dropped;
+        render_follow_frame(input.store, path, frames, input.stats.malformed,
+                            plain);
+        final_store = std::move(input.store);
+        final_dropped = input.stats.malformed;
       }
     }
     if (once && loaded_once) break;
@@ -827,72 +830,52 @@ int main(int argc, char** argv) {
     return run_follow(path, flags, jobs);
   }
 
-  obs::EventStore store;
+  Input input;
   std::string error;
-  // Input records/lines that were skipped rather than analyzed; any
-  // --check gate refuses a clean verdict while this is non-zero.
-  std::uint64_t dropped_input = 0;
-  std::uint64_t ingest_bytes = 0;
-  std::size_t ingest_malformed = 0;
-  unsigned ingest_shards = 1;
-  const char* ingest_mode = "read";
   const auto ingest_start = std::chrono::steady_clock::now();
-  if (obs::is_flight_file(path)) {
-    obs::FlightStoreInfo info;
-    obs::TraceLoadStats fstats;
-    if (!obs::load_flight_file(path, store, info, fstats, &error)) {
-      std::cerr << path << ": " << error << '\n';
-      return kExitUsage;
-    }
-    if (info.total_dropped() > 0) {
+  if (!load_input(path, jobs, input, &error)) {
+    std::cerr << path << ": " << error << '\n';
+    return kExitUsage;
+  }
+  const obs::EventStore& store = input.store;
+  const obs::IngestStats& stats = input.stats;
+  if (input.flight) {
+    if (input.rings.total_dropped() > 0) {
       std::cerr << path << ": ring wrap-around dropped "
-                << info.total_dropped()
+                << input.rings.total_dropped()
                 << " oldest record(s) before the dump\n";
     }
-    if (fstats.malformed > 0) {
+    if (stats.malformed > 0) {
       std::cerr << path << ": "
-                << (info.truncated ? "truncated dump, " : "")
-                << fstats.malformed
-                << " unrecoverable record(s) skipped\n";
+                << (input.rings.truncated ? "truncated dump, " : "")
+                << stats.malformed << " unrecoverable record(s) skipped\n";
     }
-    dropped_input = fstats.malformed;
-    ingest_malformed = fstats.malformed;
-    ingest_bytes = file_size_of(path);
-    ingest_mode = "flight";
-  } else {
-    obs::IngestStats istats;
-    if (!obs::load_trace_store(path, store, istats, &error, jobs)) {
-      std::cerr << path << ": " << error << '\n';
-      return kExitUsage;
-    }
-    if (istats.malformed > 0) {
-      std::cerr << path << ": skipped " << istats.malformed
-                << " malformed line(s), first at line "
-                << istats.first_malformed_line << ": "
-                << istats.first_error << '\n';
-    }
-    dropped_input = istats.malformed;
-    ingest_malformed = istats.malformed;
-    ingest_bytes = istats.bytes;
-    ingest_shards = istats.shards;
-    ingest_mode = istats.mapped ? "mmap" : "read";
+  } else if (stats.malformed > 0) {
+    std::cerr << path << ": skipped " << stats.malformed
+              << " malformed line(s), first at line "
+              << stats.first_malformed_line << ": " << stats.first_error
+              << '\n';
   }
+  // Input records/lines that were skipped rather than analyzed; any
+  // --check gate refuses a clean verdict while this is non-zero.
+  const std::uint64_t dropped_input = stats.malformed;
   if (want_stats) {
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       ingest_start)
             .count();
-    const double mib = static_cast<double>(ingest_bytes) / (1024.0 * 1024.0);
+    const double mib = static_cast<double>(stats.bytes) / (1024.0 * 1024.0);
     char rate[32];
     format_double(rate, sizeof rate, "%.1f",
                   seconds > 0.0 ? mib / seconds : 0.0);
     std::fprintf(stderr,
                  "ingest: %llu bytes, %llu events, %llu malformed, "
                  "%s MB/s (%s, shards=%u)\n",
-                 static_cast<unsigned long long>(ingest_bytes),
+                 static_cast<unsigned long long>(stats.bytes),
                  static_cast<unsigned long long>(store.size()),
-                 static_cast<unsigned long long>(ingest_malformed), rate,
-                 ingest_mode, ingest_shards);
+                 static_cast<unsigned long long>(stats.malformed), rate,
+                 input.flight ? "flight" : stats.mapped ? "mmap" : "read",
+                 stats.shards);
   }
 
   const std::string format = flags.get_string("format", "text");

@@ -30,37 +30,51 @@ Cluster::Cluster(const ClusterConfig& config)
     : config_(config),
       clock_(config.time_compression),
       network_(config.num_hosts, config.loss_probability, config.seed,
-               clock_.to_wall(config.network_delay)) {
+               clock_.to_wall(config.network_delay)),
+      topology_(net::make_complete(config.num_hosts)) {
   REALTOR_ASSERT(config_.num_hosts > 0);
   hosts_.reserve(config_.num_hosts);
   const auto resolver = [this](NodeId id) -> HostRuntime* {
     return id < hosts_.size() ? hosts_[id].get() : nullptr;
   };
+  router_.sinks.assign(config_.num_hosts, nullptr);
+  tracer_.set_sink(&router_);
   for (NodeId id = 0; id < config_.num_hosts; ++id) {
     HostConfig host_config;
     host_config.id = id;
-    host_config.num_hosts = config_.num_hosts;
     host_config.queue_capacity = config_.queue_capacity;
     host_config.protocol = config_.protocol;
     host_config.discovery = config_.discovery;
     host_config.max_tries = config_.max_tries;
     host_config.network_delay = config_.network_delay;
     host_config.speculative_migration = config_.speculative_migration;
-    host_config.episodes = &episodes_;
+    proto::ProtocolEnv shared;
+    shared.topology = &topology_;
+    shared.seed = config_.seed;
+    shared.episodes = &episodes_;
     if (config_.trace_sink_factory) {
-      if (obs::TraceSink* sink = config_.trace_sink_factory(id)) {
-        tracers_.push_back(std::make_unique<obs::Tracer>());
-        tracers_.back()->set_sink(sink);
-        host_config.tracer = tracers_.back().get();
-      }
+      router_.sinks[id] = config_.trace_sink_factory(id);
+      if (router_.sinks[id] != nullptr) shared.tracer = &tracer_;
     }
     hosts_.push_back(std::make_unique<HostRuntime>(
-        host_config, clock_, network_, naming_, resolver));
+        host_config, clock_, network_, naming_, std::move(shared), resolver));
   }
   if (config_.live) {
     LiveMonitorConfig live = *config_.live;
     live.node_count = config_.num_hosts;
     live_ = std::make_unique<LiveMonitor>(std::move(live));
+  }
+}
+
+void Cluster::HostSinkRouter::on_event(const obs::TraceEvent& event) {
+  if (event.node < sinks.size() && sinks[event.node] != nullptr) {
+    sinks[event.node]->on_event(event);
+  }
+}
+
+void Cluster::HostSinkRouter::flush() {
+  for (obs::TraceSink* sink : sinks) {
+    if (sink != nullptr) sink->flush();
   }
 }
 
@@ -124,11 +138,16 @@ ClusterMetrics Cluster::run() {
     }
   };
 
+  // Each host's engine starts at the clock's reading, so re-base the clock
+  // first: setup since construction (trace rings, the workload) must not
+  // put the engines ahead of model time.
+  clock_.reset_epoch();
   for (auto& host : hosts_) {
     host->start();
   }
   // Reactors are up; re-base model time so thread spawn latency does not
-  // consume the experiment timeline.
+  // consume the experiment timeline. The engines' clamp absorbs this one
+  // small step back.
   clock_.reset_epoch();
   if (live_ && live_->ok()) {
     live_->start(clock_, [this] {

@@ -14,6 +14,8 @@
 #include "agile/live_monitor.hpp"
 #include "agile/naming.hpp"
 #include "common/types.hpp"
+#include "net/topology.hpp"
+#include "obs/trace.hpp"
 #include "proto/config.hpp"
 
 namespace realtor::agile {
@@ -58,10 +60,11 @@ struct ClusterConfig {
 
   /// Per-host trace sink factory. Called once per host at construction;
   /// the returned sink is borrowed (must outlive the cluster) and receives
-  /// that host's events from its reactor thread — a flight-recorder ring
-  /// per host, or one shared thread-safe JsonlSink returned for every id.
-  /// nullptr results are fine (that host stays untraced); unset (default)
-  /// disables tracing entirely.
+  /// the events whose node is that host, from reactor threads — a
+  /// flight-recorder ring per host, or one shared thread-safe JsonlSink
+  /// returned for every id. nullptr results are fine (that host stays
+  /// untraced); unset (default) disables tracing entirely. All hosts
+  /// share one tracer, so lineage ids are unique across the cluster.
   std::function<obs::TraceSink*(NodeId)> trace_sink_factory;
 
   /// Driver hook fired right after each attack kill lands, before the
@@ -132,6 +135,15 @@ class Cluster {
   LiveMonitor* live() { return live_.get(); }
 
  private:
+  /// The cluster tracer's sink: routes each event by its node to the
+  /// factory-provided sink of that host.
+  class HostSinkRouter final : public obs::TraceSink {
+   public:
+    std::vector<obs::TraceSink*> sinks;  // by host id; nullptr = untraced
+    void on_event(const obs::TraceEvent& event) override;
+    void flush() override;
+  };
+
   ClusterMetrics aggregate(std::uint64_t generated) const;
 
   ClusterConfig config_;
@@ -139,9 +151,11 @@ class Cluster {
   DatagramNetwork network_;
   NamingService naming_;
   obs::EpisodeSource episodes_;
-  /// One tracer per host (stable addresses: HostConfig borrows them),
-  /// each pointing at the factory-provided sink. Empty when untraced.
-  std::vector<std::unique_ptr<obs::Tracer>> tracers_;
+  /// The complete overlay the protocols see; never mutated (killed hosts
+  /// go silent by stopping their reactor instead).
+  net::Topology topology_;
+  HostSinkRouter router_;
+  obs::Tracer tracer_;
   std::vector<std::unique_ptr<HostRuntime>> hosts_;
   std::unique_ptr<LiveMonitor> live_;
   bool ran_ = false;

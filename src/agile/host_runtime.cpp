@@ -1,59 +1,53 @@
 #include "agile/host_runtime.hpp"
 
-#include "common/profile.hpp"
-
 #include <algorithm>
 #include <utility>
 
 #include "agile/component.hpp"
-
 #include "common/assert.hpp"
+#include "common/profile.hpp"
 
 namespace realtor::agile {
 namespace {
 // Reactor wake-up cap: stay responsive to shutdown and late datagrams even
-// with no pending deadline.
+// with no pending engine event.
 constexpr std::chrono::milliseconds kMaxWait{20};
 }  // namespace
 
 HostRuntime::HostRuntime(const HostConfig& config, const Clock& clock,
                          DatagramNetwork& network, NamingService& naming,
-                         PeerResolver peers)
+                         proto::ProtocolEnv shared, PeerResolver peers)
     : config_(config),
       clock_(clock),
       network_(network),
       naming_(naming),
-      peers_(std::move(peers)),
-      algo_h_(config.protocol),
-      algo_p_(config.protocol),
-      pledge_list_(config.protocol.soft_state_ttl,
-                   config.protocol.availability_floor),
-      membership_(config.protocol.soft_state_ttl,
-                  config.protocol.max_communities),
-      advert_table_(config.id, config.protocol.availability_floor),
-      tie_rng_(0x517cc1b727220a95ULL * (config.id + 1), "agile-ties") {
+      env_(std::move(shared)),
+      peers_(std::move(peers)) {
   REALTOR_ASSERT(config_.queue_capacity > 0.0);
   REALTOR_ASSERT(config_.max_tries >= 1);
-  REALTOR_ASSERT(config_.num_hosts > config_.id);
+  REALTOR_ASSERT(env_.topology != nullptr &&
+                 env_.topology->num_nodes() > config_.id);
   REALTOR_ASSERT(static_cast<bool>(peers_));
-  REALTOR_ASSERT_MSG(config_.discovery != proto::ProtocolKind::kGossip,
-                     "the threaded runtime implements the paper's schemes");
-}
-
-bool HostRuntime::pull_based() const {
-  return config_.discovery == proto::ProtocolKind::kRealtor ||
-         config_.discovery == proto::ProtocolKind::kAdaptivePull ||
-         config_.discovery == proto::ProtocolKind::kPurePull;
 }
 
 HostRuntime::~HostRuntime() { stop(); }
 
 void HostRuntime::start() {
   if (running_.exchange(true)) return;
-  if (config_.discovery == proto::ProtocolKind::kPurePush) {
-    // Armed before the thread spawns: next_advert_ is reactor-confined.
-    next_advert_ = clock_.now() + config_.protocol.push_interval;
-  }
+  // A new incarnation: the engine starts at the current model time so
+  // periodic protocols do not replay the ticks of an outage. Built here,
+  // before the reactor spawns, it is reactor-confined from then on.
+  protocol_.reset();
+  engine_ = std::make_unique<sim::Engine>();
+  engine_->run_until(clock_.now());
+  speculations_.clear();
+  proto::ProtocolEnv env = env_;
+  env.engine = engine_.get();
+  env.transport = this;
+  env.local_occupancy = [this] { return occupancy(); };
+  protocol_ = proto::make_protocol(config_.discovery, config_.id,
+                                   config_.protocol, std::move(env));
+  protocol_->start();
   thread_ = std::thread([this] { reactor(); });
 }
 
@@ -67,25 +61,13 @@ void HostRuntime::stop() {
 
 void HostRuntime::restart() {
   REALTOR_ASSERT_MSG(!running_.load(), "restart() requires a stopped host");
-  // The reactor thread is joined: its confined state is safe to reset.
-  algo_h_ = proto::AlgorithmH(config_.protocol);
-  algo_p_ = proto::AlgorithmP(config_.protocol);
-  pledge_list_.clear();
-  membership_.clear();
-  advert_table_ =
-      proto::AvailabilityTable(config_.id, config_.protocol.availability_floor);
-  speculations_.clear();
-  help_deadline_ = kNeverTime;
-  current_episode_ = 0;
-  next_advert_ = kNeverTime;  // start() re-arms for pure PUSH
-  completions_ = {};
   {
     std::lock_guard<std::mutex> lock(admit_mutex_);
     finish_time_ = 0.0;
     cus_.reset();
   }
   network_.inbox(config_.id).reopen();
-  start();
+  start();  // rebuilds the engine and the protocol cold
 }
 
 std::optional<HostRuntime::Reservation> HostRuntime::request_admission(
@@ -116,92 +98,69 @@ double HostRuntime::occupancy() const {
 void HostRuntime::reactor() {
   Inbox& inbox = network_.inbox(config_.id);
   while (true) {
-    const SimTime now = clock_.now();
-    process_due(now);
-
-    SimTime next_deadline = kNeverTime;
-    if (!completions_.empty()) next_deadline = completions_.top().time;
-    if (help_deadline_ < next_deadline) next_deadline = help_deadline_;
-    if (next_advert_ < next_deadline) next_deadline = next_advert_;
-
-    auto wall_deadline = std::chrono::steady_clock::now() + kMaxWait;
-    if (next_deadline != kNeverTime) {
-      wall_deadline = std::min(wall_deadline, clock_.wall_at(next_deadline));
-    }
-
-    auto datagram = inbox.pop_until(wall_deadline);
+    auto wake = std::chrono::steady_clock::now() + kMaxWait;
+    const SimTime next = engine_->next_event_time();
+    if (next != kNeverTime) wake = std::min(wake, clock_.wall_at(next));
+    auto datagram = inbox.pop_until(wake);
+    // Fire due timers and bring the engine up to the clock. The clock
+    // steps backwards once (Cluster::run re-bases it after the reactors
+    // spawn); the engine's time must not, hence the clamp.
+    engine_->run_until(std::max(engine_->now(), clock_.now()));
     if (datagram) {
       handle(*datagram);
-    } else if (inbox.closed()) {
-      break;
-    } else if (!running_.load(std::memory_order_relaxed)) {
+    } else if (inbox.closed() ||
+               !running_.load(std::memory_order_relaxed)) {
       break;
     }
   }
 }
 
-void HostRuntime::process_due(SimTime now) {
-  while (!completions_.empty() && completions_.top().time <= now) {
-    const PendingCompletion done = completions_.top();
-    completions_.pop();
-    stats_.completions.fetch_add(1, std::memory_order_relaxed);
-    // Deadlines are met in *model* time: CUS at U=1 makes the deadline
-    // coincide with the booked completion instant, so reactor wake-up
-    // jitter must not be charged as a miss.
-    if (done.time > done.deadline + 1e-9) {
-      stats_.deadline_misses.fetch_add(1, std::memory_order_relaxed);
-      if (tracing()) {
-        trace(trace_event(obs::EventKind::kDeadlineMiss)
-                  .with("task", done.task)
-                  .with("lateness", done.time - done.deadline));
-      }
-    }
-    naming_.unregister(done.task);
+void HostRuntime::flood(NodeId origin, const proto::Message& msg) {
+  count_sent(msg);
+  network_.multicast(origin, Payload{msg});
+}
+
+void HostRuntime::unicast(NodeId from, NodeId to, const proto::Message& msg) {
+  count_sent(msg);
+  network_.send(from, to, Payload{msg});
+}
+
+void HostRuntime::count_sent(const proto::Message& msg) {
+  // HELPs have their own stat; pledges, adverts and gossip digests share
+  // the availability channel's.
+  auto& stat = std::holds_alternative<proto::HelpMsg>(msg)
+                   ? stats_.helps_sent
+                   : stats_.pledges_sent;
+  stat.fetch_add(1, std::memory_order_relaxed);
+}
+
+void HostRuntime::schedule_completion(TaskId task,
+                                      const Reservation& booked) {
+  engine_->schedule_at(std::max(booked.completion_time, engine_->now()),
+                       [this, task, booked] { complete(task, booked); });
+}
+
+void HostRuntime::complete(TaskId task, const Reservation& booked) {
+  stats_.completions.fetch_add(1, std::memory_order_relaxed);
+  // Deadlines are met in *model* time: CUS at U=1 makes the deadline
+  // coincide with the booked completion instant, so reactor wake-up
+  // jitter must not be charged as a miss.
+  const bool missed = booked.completion_time > booked.deadline + 1e-9;
+  if (missed) {
+    stats_.deadline_misses.fetch_add(1, std::memory_order_relaxed);
     if (tracing()) {
-      trace(trace_event(obs::EventKind::kTaskCompleted)
-                .with("task", done.task)
-                .with("missed", done.time > done.deadline + 1e-9));
+      trace(trace_event(obs::EventKind::kDeadlineMiss)
+                .with("task", task)
+                .with("lateness", booked.completion_time - booked.deadline));
     }
-    note_status_change();
   }
-  if (help_deadline_ != kNeverTime && now >= help_deadline_) {
-    help_deadline_ = kNeverTime;
-    algo_h_.note_timeout();
-  }
-  if (next_advert_ != kNeverTime && now >= next_advert_) {
-    next_advert_ = now + config_.protocol.push_interval;
-    send_advert();
-  }
-}
-
-void HostRuntime::send_advert() {
-  proto::PushAdvertMsg advert;
-  advert.origin = config_.id;
-  advert.availability = 1.0 - occupancy();
-  network_.multicast(config_.id, Payload{proto::Message{advert}});
-  stats_.pledges_sent.fetch_add(1, std::memory_order_relaxed);
+  naming_.unregister(task);
   if (tracing()) {
-    trace(trace_event(obs::EventKind::kAdvertSent)
-              .with("availability", advert.availability));
+    trace(trace_event(obs::EventKind::kTaskCompleted)
+              .with("task", task)
+              .with("missed", missed));
   }
-}
-
-void HostRuntime::handle_advert(const proto::PushAdvertMsg& advert) {
-  advert_table_.update(advert.origin, advert.availability, clock_.now(),
-                       advert.security_level);
-}
-
-std::vector<NodeId> HostRuntime::candidates(SimTime now) {
-  if (pull_based()) {
-    pledge_list_.expire(now);
-    return pledge_list_.candidates(now, tie_rng_);
-  }
-  std::vector<NodeId> peers;
-  peers.reserve(config_.num_hosts);
-  for (NodeId peer = 0; peer < config_.num_hosts; ++peer) {
-    if (peer != config_.id) peers.push_back(peer);
-  }
-  return advert_table_.candidates(peers, tie_rng_);
+  protocol_->on_status_change(occupancy());
 }
 
 void HostRuntime::handle(const Datagram& datagram) {
@@ -219,29 +178,20 @@ void HostRuntime::handle(const Datagram& datagram) {
     handle_speculative_result(*result);
   } else if (const auto* msg =
                  std::get_if<proto::Message>(&datagram.payload)) {
-    if (const auto* help = std::get_if<proto::HelpMsg>(msg)) {
-      handle_help(datagram.from, *help);
-    } else if (const auto* pledge = std::get_if<proto::PledgeMsg>(msg)) {
-      handle_pledge(*pledge);
-    } else if (const auto* advert =
-                   std::get_if<proto::PushAdvertMsg>(msg)) {
-      handle_advert(*advert);
-    }
+    protocol_->on_message(datagram.from, *msg);
   }
 }
 
 void HostRuntime::handle_arrival(const TaskArrival& arrival) {
   stats_.arrivals.fetch_add(1, std::memory_order_relaxed);
-  const SimTime now = clock_.now();
   const double occupancy_with_task =
       occupancy() + arrival.size_seconds / config_.queue_capacity;
 
   if (const auto reservation = request_admission(arrival.size_seconds)) {
     stats_.admitted_local.fetch_add(1, std::memory_order_relaxed);
     naming_.register_component(arrival.id, config_.id);
-    completions_.push(PendingCompletion{reservation->completion_time,
-                                        arrival.id, reservation->deadline});
-    note_status_change();
+    schedule_completion(arrival.id, *reservation);
+    protocol_->on_status_change(occupancy());
   } else {
     switch (try_migrate(arrival)) {
       case MigrateStatus::kMigrated:
@@ -255,13 +205,15 @@ void HostRuntime::handle_arrival(const TaskArrival& arrival) {
     }
   }
 
-  maybe_send_help(now, occupancy_with_task);
+  // As in the simulation, the protocol's trigger runs after the decision:
+  // a pull scheme's candidates were gathered by earlier solicitations.
+  protocol_->on_task_arrival(occupancy_with_task);
 }
 
 HostRuntime::MigrateStatus HostRuntime::try_migrate(
     const TaskArrival& arrival) {
   const SimTime now = clock_.now();
-  const auto candidates = this->candidates(now);
+  const auto candidates = protocol_->migration_candidates();
   const double fraction = arrival.size_seconds / config_.queue_capacity;
 
   if (config_.speculative_migration) {
@@ -298,10 +250,10 @@ HostRuntime::MigrateStatus HostRuntime::try_migrate(
         peer ? peer->request_admission(arrival.size_seconds) : std::nullopt;
     if (config_.network_delay > 0.0) std::this_thread::sleep_for(wire_delay);
     if (!reservation) {
-      note_feedback(target, fraction, /*success=*/false);
+      protocol_->on_migration_result(target, fraction, /*success=*/false);
       continue;
     }
-    note_feedback(target, fraction, /*success=*/true);
+    protocol_->on_migration_result(target, fraction, /*success=*/true);
     // The migration subsystem moves the (timer) component state and the
     // naming service learns the new location (§3 steps 7-9).
     naming_.register_component(arrival.id, config_.id);
@@ -322,28 +274,6 @@ HostRuntime::MigrateStatus HostRuntime::try_migrate(
   return MigrateStatus::kRejected;
 }
 
-void HostRuntime::note_feedback(NodeId target, double fraction, bool success) {
-  if (pull_based()) {
-    if (success) {
-      pledge_list_.debit(target, fraction);
-      const bool uses_algo_h =
-          config_.discovery != proto::ProtocolKind::kPurePull;
-      if (uses_algo_h && config_.protocol.reward_policy ==
-                             proto::HelpRewardPolicy::kOnMigrationSuccess) {
-        algo_h_.note_success();
-      }
-    } else {
-      pledge_list_.remove(target);  // stale pledge
-    }
-  } else {
-    if (success) {
-      advert_table_.debit(target, fraction);
-    } else {
-      advert_table_.invalidate(target);  // stale advertisement
-    }
-  }
-}
-
 void HostRuntime::record_migration_latency(SimTime decision_time) {
   const double latency = clock_.now() - decision_time;
   if (latency < 0.0) return;  // clock skew guard; model time is monotone
@@ -354,10 +284,10 @@ void HostRuntime::record_migration_latency(SimTime decision_time) {
 
 void HostRuntime::handle_transfer(const TaskTransfer& transfer) {
   stats_.transfers_in.fetch_add(1, std::memory_order_relaxed);
-  completions_.push(PendingCompletion{transfer.completion_time, transfer.id,
-                                      transfer.deadline});
+  schedule_completion(transfer.id,
+                      Reservation{transfer.completion_time, transfer.deadline});
   record_migration_latency(transfer.decision_time);
-  note_status_change();
+  protocol_->on_status_change(occupancy());
 }
 
 void HostRuntime::handle_speculative(NodeId from,
@@ -367,11 +297,10 @@ void HostRuntime::handle_speculative(NodeId from,
   if (const auto reservation = request_admission(transfer.size_seconds)) {
     result.accepted = true;
     stats_.transfers_in.fetch_add(1, std::memory_order_relaxed);
-    completions_.push(PendingCompletion{reservation->completion_time,
-                                        transfer.id, reservation->deadline});
+    schedule_completion(transfer.id, *reservation);
     naming_.update_location(transfer.id, config_.id);
     record_migration_latency(transfer.decision_time);
-    note_status_change();
+    protocol_->on_status_change(occupancy());
   }
   network_.deliver_reliable(config_.id, from, Payload{result});
 }
@@ -384,126 +313,12 @@ void HostRuntime::handle_speculative_result(const SpeculativeResult& result) {
   if (result.accepted) {
     stats_.admitted_migrated.fetch_add(1, std::memory_order_relaxed);
     stats_.speculative_accepted.fetch_add(1, std::memory_order_relaxed);
-    note_feedback(target, fraction, /*success=*/true);
+    protocol_->on_migration_result(target, fraction, /*success=*/true);
   } else {
     stats_.rejected.fetch_add(1, std::memory_order_relaxed);
     stats_.speculative_rejected.fetch_add(1, std::memory_order_relaxed);
-    note_feedback(target, fraction, /*success=*/false);
+    protocol_->on_migration_result(target, fraction, /*success=*/false);
     naming_.unregister(result.id);  // the component perished with the miss
-  }
-}
-
-void HostRuntime::maybe_send_help(SimTime now, double occupancy_with_task) {
-  if (!pull_based()) return;  // PUSH-based modes never solicit
-  const bool gated = config_.discovery != proto::ProtocolKind::kPurePull;
-  if (gated) {
-    if (!algo_h_.should_send_help(now, occupancy_with_task)) return;
-  } else if (occupancy_with_task < config_.protocol.help_threshold) {
-    return;  // pure PULL: unlimited HELPs whenever above the threshold
-  }
-  proto::HelpMsg help;
-  help.origin = config_.id;
-  help.member_count = static_cast<std::uint32_t>(pledge_list_.size(now));
-  help.urgency = std::min(
-      1.0,
-      std::max(0.0, occupancy_with_task - config_.protocol.help_threshold));
-  current_episode_ =
-      config_.episodes != nullptr ? config_.episodes->next() : 0;
-  help.episode = current_episode_;
-  network_.multicast(config_.id, Payload{proto::Message{help}});
-  stats_.helps_sent.fetch_add(1, std::memory_order_relaxed);
-  if (tracing()) {
-    trace(trace_event(obs::EventKind::kHelpSent)
-              .with("urgency", help.urgency)
-              .with("members", help.member_count)
-              .with("episode", help.episode));
-  }
-  if (gated) {
-    const SimTime timeout = algo_h_.note_help_sent(now);
-    help_deadline_ = now + timeout;
-  }
-}
-
-void HostRuntime::handle_help(NodeId from, const proto::HelpMsg& help) {
-  (void)from;  // origin travels inside the message as well
-  if (!pull_based()) return;  // not part of the PUSH schemes
-  const SimTime now = clock_.now();
-  const double occ = occupancy();
-  const bool answered = algo_p_.should_pledge_on_help(occ);
-  if (tracing()) {
-    trace(trace_event(obs::EventKind::kHelpReceived)
-              .with("origin", help.origin)
-              .with("urgency", help.urgency)
-              .with("answered", answered)
-              .with("episode", help.episode));
-  }
-  if (!answered) return;
-  if (config_.discovery == proto::ProtocolKind::kRealtor) {
-    membership_.note_refresh_answered(help.origin, now);
-  }
-  send_pledge_to(help.origin, occ, help.episode);
-}
-
-void HostRuntime::handle_pledge(const proto::PledgeMsg& pledge) {
-  if (!pull_based()) return;
-  const SimTime now = clock_.now();
-  const bool uses_algo_h = config_.discovery != proto::ProtocolKind::kPurePull;
-  if (uses_algo_h && algo_h_.note_pledge()) {
-    help_deadline_ = now + config_.protocol.help_timeout;  // reset_timer
-  }
-  pledge_list_.update(pledge.pledger, pledge.availability,
-                      pledge.grant_probability, now, pledge.security_level);
-  if (tracing()) {
-    trace(trace_event(obs::EventKind::kPledgeReceived)
-              .with("pledger", pledge.pledger)
-              .with("availability", pledge.availability)
-              .with("list_size", pledge_list_.held())
-              .with("episode", pledge.episode));
-  }
-  if (uses_algo_h &&
-      config_.protocol.reward_policy ==
-          proto::HelpRewardPolicy::kOnFirstUsefulPledge &&
-      pledge.availability > config_.protocol.availability_floor) {
-    algo_h_.claim_round_reward();
-  }
-}
-
-void HostRuntime::send_pledge_to(NodeId organizer, double occ,
-                                 std::uint64_t episode) {
-  const SimTime now = clock_.now();
-  proto::PledgeMsg pledge;
-  pledge.pledger = config_.id;
-  pledge.availability = 1.0 - occ;
-  pledge.community_count = membership_.count(now);
-  pledge.grant_probability = algo_p_.grant_probability(now);
-  pledge.episode = episode;
-  network_.send(config_.id, organizer, Payload{proto::Message{pledge}});
-  stats_.pledges_sent.fetch_add(1, std::memory_order_relaxed);
-  if (tracing()) {
-    trace(trace_event(obs::EventKind::kPledgeSent)
-              .with("organizer", organizer)
-              .with("availability", pledge.availability)
-              .with("episode", episode));
-  }
-}
-
-void HostRuntime::note_status_change() {
-  const SimTime now = clock_.now();
-  const double occ = occupancy();
-  if (algo_p_.note_status(now, occ) == node::Crossing::kNone) return;
-  switch (config_.discovery) {
-    case proto::ProtocolKind::kRealtor:
-      // Unsolicited status pledges to every joined community (Fig. 3).
-      membership_.prune(now);
-      for (const NodeId organizer : membership_.active_organizers(now)) {
-        send_pledge_to(organizer, occ);
-      }
-      break;
-    case proto::ProtocolKind::kAdaptivePush:
-      send_advert();  // advertise the crossing to everyone
-      break;
-    default:
-      break;  // pure PUSH is periodic; the pull schemes stay silent
   }
 }
 

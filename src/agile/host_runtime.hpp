@@ -1,45 +1,52 @@
-// One Agile Objects host: a reactor thread running the REALTOR protocol
+// One Agile Objects host: a reactor thread running a discovery protocol
 // over the in-process channels, a bounded work queue measured in seconds,
 // a Constant Utilization Server assigning EDF deadlines, and a thread-safe
 // admission RPC (the paper's TCP negotiation between Admission Controls).
 //
-// Threading model (guides CP.2/CP.3): all protocol soft state is confined
-// to the reactor thread; the only shared mutable state is the admission
-// account (mutex), the per-host statistics (atomics), and the channels.
+// The protocol is a proto::DiscoveryProtocol from proto::make_protocol —
+// the same state machines the discrete-event Simulation runs. Each host
+// owns a private sim::Engine and uses it as its only timer queue: Algorithm
+// H timeouts, periodic adverts and gossip rounds (sim::Timer,
+// sim::PeriodicProcess) and pending task completions are all engine
+// events. Before it handles a datagram the reactor advances the engine to
+// max(engine.now(), clock.now()), then sleeps until the engine's next
+// event time or the next datagram. The clamp matters once: Cluster::run()
+// re-bases the clock again after the reactors spawn, so model time steps
+// back by the spawn latency, and the engine's time never may.
+//
+// Threading model (guides CP.2/CP.3): the engine, the protocol and all its
+// soft state are confined to the reactor thread. start() builds them
+// before the thread spawns and restart() rebuilds them after it joined,
+// so no other thread touches them. The only shared mutable state is the
+// admission account (mutex), the per-host statistics (atomics), the
+// channels, and the cluster's tracer and episode counter (atomic ids).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
-#include <queue>
 #include <thread>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "agile/channel.hpp"
 #include "agile/clock.hpp"
 #include "agile/naming.hpp"
-#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "obs/trace.hpp"
-#include "proto/algorithm_h.hpp"
-#include "proto/algorithm_p.hpp"
-#include "proto/availability_table.hpp"
-#include "proto/community.hpp"
 #include "proto/config.hpp"
 #include "proto/factory.hpp"
-#include "proto/pledge_list.hpp"
+#include "proto/transport.hpp"
 #include "sched/cus.hpp"
+#include "sim/engine.hpp"
 
 namespace realtor::agile {
 
 struct HostConfig {
   NodeId id = 0;
-  /// Total hosts in the cluster (push-based modes advertise to everyone).
-  NodeId num_hosts = 1;
   /// Fig. 9 uses queue_size = 50 (half the simulation's 100).
   double queue_capacity = 50.0;
   proto::ProtocolConfig protocol;
@@ -55,12 +62,6 @@ struct HostConfig {
   /// §3 speculative migration: ship the component state together with the
   /// admission request instead of after the negotiation.
   bool speculative_migration = false;
-  /// Optional borrowed tracer. Reactor threads emit concurrently, so the
-  /// attached sink must be thread-safe (JsonlSink is; MemorySink is not).
-  obs::Tracer* tracer = nullptr;
-  /// Optional cluster-shared allocator of discovery-episode ids (atomic;
-  /// safe across reactor threads). nullptr = episodes disabled (all 0).
-  obs::EpisodeSource* episodes = nullptr;
 };
 
 /// Concurrency-safe counters; snapshot with relaxed loads after the run.
@@ -83,7 +84,7 @@ struct HostStats {
   std::atomic<std::uint64_t> migration_latency_samples{0};
 };
 
-class HostRuntime {
+class HostRuntime : private proto::Transport {
  public:
   /// Resolves a peer id to its runtime for the admission RPC; returns
   /// nullptr for unknown/down peers.
@@ -97,9 +98,14 @@ class HostRuntime {
     SimTime deadline = 0.0;
   };
 
+  /// `shared` carries the cluster-wide part of the protocol environment:
+  /// topology, seed, and the optional tracer and episode source. A traced
+  /// host's tracer is shared by every reactor thread, so its sink must be
+  /// thread-safe. The engine, transport and occupancy fields are filled in
+  /// per incarnation.
   HostRuntime(const HostConfig& config, const Clock& clock,
               DatagramNetwork& network, NamingService& naming,
-              PeerResolver peers);
+              proto::ProtocolEnv shared, PeerResolver peers);
   ~HostRuntime();
   HostRuntime(const HostRuntime&) = delete;
   HostRuntime& operator=(const HostRuntime&) = delete;
@@ -107,10 +113,10 @@ class HostRuntime {
   void start();
   void stop();
 
-  /// Restarts a stopped host with cold protocol state (recovery after an
-  /// attack outage): empty pledge list, no memberships, reset Algorithm H,
-  /// empty queue. Resident components of the previous incarnation are
-  /// lost, exactly like a killed machine.
+  /// Restarts a stopped host with cold state (recovery after an attack
+  /// outage): a fresh engine and protocol, an empty queue. Resident
+  /// components of the previous incarnation are lost, exactly like a
+  /// killed machine.
   void restart();
 
   NodeId id() const { return config_.id; }
@@ -130,16 +136,13 @@ class HostRuntime {
   const HostStats& stats() const { return stats_; }
 
  private:
-  struct PendingCompletion {
-    SimTime time = 0.0;
-    TaskId task = 0;
-    SimTime deadline = 0.0;
-    bool operator>(const PendingCompletion& other) const {
-      return time > other.time;
-    }
-  };
-
   enum class MigrateStatus { kMigrated, kRejected, kInFlight };
+
+  // proto::Transport: the protocol's flood/unicast ride the datagram
+  // network, counted on the per-host channel stats.
+  void flood(NodeId origin, const proto::Message& msg) override;
+  void unicast(NodeId from, NodeId to, const proto::Message& msg) override;
+  void count_sent(const proto::Message& msg);
 
   void reactor();
   void handle(const Datagram& datagram);
@@ -147,34 +150,24 @@ class HostRuntime {
   void handle_transfer(const TaskTransfer& transfer);
   void handle_speculative(NodeId from, const SpeculativeTransfer& transfer);
   void handle_speculative_result(const SpeculativeResult& result);
-  void handle_help(NodeId from, const proto::HelpMsg& help);
-  void handle_pledge(const proto::PledgeMsg& pledge);
-  void handle_advert(const proto::PushAdvertMsg& advert);
   MigrateStatus try_migrate(const TaskArrival& arrival);
-  void note_feedback(NodeId target, double fraction, bool success);
   void record_migration_latency(SimTime decision_time);
-  void send_advert();
-  std::vector<NodeId> candidates(SimTime now);
-  bool pull_based() const;
-  void maybe_send_help(SimTime now, double occupancy_with_task);
-  /// `episode` echoes the solicited HELP round; 0 for unsolicited pledges.
-  void send_pledge_to(NodeId organizer, double occ, std::uint64_t episode = 0);
-  void note_status_change();
-  void process_due(SimTime now);
+  /// Books the completion of an admitted component as an engine event.
+  void schedule_completion(TaskId task, const Reservation& booked);
+  void complete(TaskId task, const Reservation& booked);
   bool tracing() const {
-    return config_.tracer != nullptr && config_.tracer->active();
+    return env_.tracer != nullptr && env_.tracer->active();
   }
   obs::TraceEvent trace_event(obs::EventKind kind) const {
-    return obs::TraceEvent(clock_.now(), config_.id, kind);
+    return obs::TraceEvent(engine_->now(), config_.id, kind);
   }
-  void trace(const obs::TraceEvent& event) const {
-    config_.tracer->emit(event);
-  }
+  void trace(const obs::TraceEvent& event) const { env_.tracer->emit(event); }
 
   HostConfig config_;
   const Clock& clock_;
   DatagramNetwork& network_;
   NamingService& naming_;
+  proto::ProtocolEnv env_;
   PeerResolver peers_;
 
   // Shared admission state (RPC from peer reactors + local admits).
@@ -182,23 +175,13 @@ class HostRuntime {
   SimTime finish_time_ = 0.0;  // instant all booked work completes
   sched::ConstantUtilizationServer cus_{1.0};
 
-  // Reactor-confined protocol state.
-  proto::AlgorithmH algo_h_;
-  proto::AlgorithmP algo_p_;
-  proto::PledgeList pledge_list_;
-  proto::CommunityMembership membership_;
-  proto::AvailabilityTable advert_table_;  // push-based modes
-  RngStream tie_rng_;
-  SimTime help_deadline_ = kNeverTime;
-  /// Reactor-confined: id of the last HELP round this host opened.
-  std::uint64_t current_episode_ = 0;
-  SimTime next_advert_ = kNeverTime;  // pure PUSH period
+  // Reactor-confined incarnation state, rebuilt by start(). The protocol
+  // is declared after the engine so it (and its timers) dies first.
+  std::unique_ptr<sim::Engine> engine_;
+  std::unique_ptr<proto::DiscoveryProtocol> protocol_;
   /// Outstanding speculative migrations: component -> (target, capacity
   /// fraction), resolved by SpeculativeResult.
   std::unordered_map<TaskId, std::pair<NodeId, double>> speculations_;
-  std::priority_queue<PendingCompletion, std::vector<PendingCompletion>,
-                      std::greater<PendingCompletion>>
-      completions_;
 
   HostStats stats_;
   std::thread thread_;

@@ -184,6 +184,16 @@ bool Engine::pop_next(SimTime& time, Callback& cb) {
   }
 }
 
+SimTime Engine::next_event_time() {
+  while (live_ > 0) {
+    const HeapEntry& top = heap_.front();
+    if (slots_[top.slot].seq == top.seq) return top.time;
+    heap_pop_front();  // cancelled
+    --dead_;
+  }
+  return kNeverTime;
+}
+
 void Engine::run() {
   SimTime time = 0.0;
   Callback cb;

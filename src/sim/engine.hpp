@@ -87,6 +87,11 @@ class Engine {
   /// Fires at most `max_events` events; returns how many fired.
   std::size_t step(std::size_t max_events = 1);
 
+  /// Time of the next live event, or kNeverTime when none is pending.
+  /// Drops cancelled entries sitting at the heap top on the way, so the
+  /// answer never names a corpse (the agile reactor sleeps until it).
+  SimTime next_event_time();
+
   std::size_t pending_count() const { return live_; }
   std::uint64_t events_processed() const { return processed_; }
 

@@ -2,7 +2,18 @@
 // so each cluster run takes well under a second of wall time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <sstream>
+#include <thread>
+#include <unordered_set>
+
 #include "agile/cluster.hpp"
+#include "obs/critical_path.hpp"
+#include "obs/event_store.hpp"
+#include "obs/jsonl_sink.hpp"
+#include "proto/factory.hpp"
 
 namespace realtor::agile {
 namespace {
@@ -245,18 +256,98 @@ TEST_P(ClusterDiscoveryModes, TrafficMatchesTheScheme) {
   if (pull) {
     EXPECT_GT(m.helps, 0u);
   } else {
-    EXPECT_EQ(m.helps, 0u);  // PUSH-based schemes never solicit
-    EXPECT_GT(m.pledges, 0u);  // adverts counted on the same channel stat
+    // PUSH-based schemes and gossip never solicit; their adverts and
+    // digests are counted on the same channel stat as pledges.
+    EXPECT_EQ(m.helps, 0u);
+    EXPECT_GT(m.pledges, 0u);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, ClusterDiscoveryModes,
-                         ::testing::ValuesIn(proto::kAllProtocolKinds),
+                         ::testing::ValuesIn(proto::kExtendedProtocolKinds),
                          [](const auto& tpi) {
                            std::string name = proto::to_string(tpi.param);
                            std::replace(name.begin(), name.end(), '-', '_');
                            return name;
                          });
+
+/// Runs `config` traced into one shared JSONL sink, `setup` wall time after
+/// constructing the cluster, and loads the trace back.
+obs::EventStore traced_cluster_run(ClusterConfig config,
+                                   std::chrono::milliseconds setup = {}) {
+  std::ostringstream out;
+  obs::JsonlSink sink(out);
+  config.trace_sink_factory = [&sink](NodeId) -> obs::TraceSink* {
+    return &sink;
+  };
+  {
+    Cluster cluster(config);
+    std::this_thread::sleep_for(setup);
+    const ClusterMetrics m = cluster.run();
+    EXPECT_GT(m.helps, 0u);
+    EXPECT_GT(m.pledges, 0u);
+  }
+  sink.flush();
+  obs::EventStore store;
+  obs::IngestStats stats;
+  std::string error;
+  EXPECT_TRUE(obs::load_trace_buffer(out.str(), store, stats, &error))
+      << error;
+  EXPECT_EQ(stats.malformed, 0u) << stats.first_error;
+  return store;
+}
+
+TEST(ClusterTrace, LineageIdsAreUniqueAcrossHosts) {
+  // Every host's protocol stamps lineage ids; with one cluster tracer they
+  // never collide in the merged trace, and every cause resolves in it.
+  ClusterConfig config = small_config(6.0);
+  config.num_hosts = 6;
+  config.model_duration = 40.0;
+  const obs::EventStore store = traced_cluster_run(config);
+
+  std::unordered_set<std::uint64_t> ids;
+  std::unordered_set<NodeId> stamping_hosts;
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    const auto id = static_cast<std::uint64_t>(store[i].number("id"));
+    if (id == 0) continue;
+    EXPECT_TRUE(ids.insert(id).second)
+        << "duplicate lineage id " << id << " at event " << i;
+    stamping_hosts.insert(store[i].node());
+  }
+  EXPECT_GT(stamping_hosts.size(), 1u);
+  std::size_t causes = 0;
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    const auto cause = static_cast<std::uint64_t>(store[i].number("cause"));
+    if (cause == 0) continue;
+    ++causes;
+    EXPECT_TRUE(ids.count(cause) == 1)
+        << "cause " << cause << " of event " << i << " names no id";
+  }
+  EXPECT_GT(causes, 0u);
+}
+
+TEST(ClusterTrace, SetupBeforeRunDoesNotShiftModelTime) {
+  // Host engines start at the clock's reading. Wall time spent between
+  // constructing the cluster and run() (trace rings, the workload) must not
+  // start them ahead of model time: early events would be stamped late and
+  // lineage edges between hosts would run backward.
+  ClusterConfig config = small_config(6.0);
+  config.model_duration = 20.0;
+  const auto setup = std::chrono::milliseconds(30);  // 10 model seconds
+  const obs::EventStore store = traced_cluster_run(config, setup);
+
+  double first_help = kNeverTime;
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    if (store[i].kind_enum() == obs::EventKind::kHelpSent) {
+      first_help = std::min(first_help, store[i].time());
+    }
+  }
+  EXPECT_LT(first_help, 10.0);
+  const auto analysis =
+      obs::analyze_critical_paths(obs::normalize_events(store));
+  EXPECT_GT(analysis.paths.size(), 0u);
+  EXPECT_TRUE(obs::check_critical_paths(analysis).empty());
+}
 
 TEST(ClusterRun, TwentyHostPaperScaleRuns) {
   ClusterConfig config;

@@ -103,6 +103,35 @@ TEST(Engine, RunUntilIncludesBoundaryEvents) {
   EXPECT_TRUE(fired);
 }
 
+TEST(Engine, NextEventTimeIsNeverWhenEmpty) {
+  Engine e;
+  EXPECT_EQ(e.next_event_time(), kNeverTime);
+  const EventId id = e.schedule_at(2.0, [] {});
+  e.cancel(id);
+  EXPECT_EQ(e.next_event_time(), kNeverTime);
+}
+
+TEST(Engine, NextEventTimeSkipsCancelledHead) {
+  Engine e;
+  const EventId head = e.schedule_at(1.0, [] {});
+  e.schedule_at(3.0, [] {});
+  e.cancel(head);
+  EXPECT_DOUBLE_EQ(e.next_event_time(), 3.0);
+  EXPECT_EQ(e.pending_count(), 1u);
+}
+
+TEST(Engine, NextEventTimeAfterRunUntil) {
+  Engine e;
+  int fired = 0;
+  e.schedule_at(1.0, [&] { ++fired; });
+  e.schedule_at(4.0, [&] { ++fired; });
+  e.run_until(2.0);
+  EXPECT_EQ(fired, 1);
+  EXPECT_DOUBLE_EQ(e.next_event_time(), 4.0);
+  e.run_until(4.0);
+  EXPECT_EQ(e.next_event_time(), kNeverTime);
+}
+
 TEST(Engine, StepFiresLimitedEvents) {
   Engine e;
   int fired = 0;

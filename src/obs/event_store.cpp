@@ -271,11 +271,17 @@ void EventStore::add_null(StrId key) {
   ++events_.back().field_count;
 }
 
+void EventStore::reserve(std::size_t events, std::size_t fields) {
+  events_.reserve(events_.size() + events);
+  fields_.reserve(fields_.size() + fields);
+}
+
 void EventStore::stable_sort_by_time() {
-  std::stable_sort(events_.begin(), events_.end(),
-                   [](const EventRec& a, const EventRec& b) {
-                     return a.time < b.time;
-                   });
+  const auto earlier = [](const EventRec& a, const EventRec& b) {
+    return a.time < b.time;
+  };
+  if (std::is_sorted(events_.begin(), events_.end(), earlier)) return;
+  std::stable_sort(events_.begin(), events_.end(), earlier);
 }
 
 // --- loader -------------------------------------------------------------

@@ -293,7 +293,10 @@ class EventStore {
   void add_string(StrId key, std::string_view text);
   void add_bool(StrId key, bool value);
   void add_null(StrId key);
-  /// Stable-sorts records by time (flight decode: rings merge by time).
+  /// Capacity for `events` more records and `fields` more payload fields.
+  void reserve(std::size_t events, std::size_t fields);
+  /// Stable-sorts records by time (flight decode: rings merge by time);
+  /// a store already in time order is left untouched.
   void stable_sort_by_time();
 
  private:

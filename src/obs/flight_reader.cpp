@@ -3,6 +3,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 
@@ -54,6 +55,32 @@ const char* record_defect(const FlightRecord& record,
     }
   }
   return nullptr;
+}
+
+/// Reserves the store for every record the ring headers ahead of `cursor`
+/// promise, and for their payload fields, so decoding never regrows the
+/// arrays. Each ring's claim is capped by the bytes left in the file, so
+/// a corrupt header cannot inflate the reservation.
+void reserve_rings(ByteCursor cursor, std::uint32_t ring_count,
+                   EventStore& out) {
+  std::size_t records = 0;
+  std::size_t fields = 0;
+  for (std::uint32_t r = 0; r < ring_count; ++r) {
+    FlightRingInfo ring;
+    if (!cursor.read(ring)) break;
+    const std::uint64_t fit =
+        (cursor.size - cursor.pos) / sizeof(FlightRecord);
+    const std::uint64_t count = ring.stored < fit ? ring.stored : fit;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const auto field_count = static_cast<std::uint8_t>(
+          cursor.data[cursor.pos + i * sizeof(FlightRecord) +
+                      offsetof(FlightRecord, field_count)]);
+      fields += field_count < kMaxTraceFields ? field_count : kMaxTraceFields;
+    }
+    records += count;
+    cursor.pos += count * sizeof(FlightRecord);
+  }
+  out.reserve(records, fields);
 }
 
 }  // namespace
@@ -127,6 +154,7 @@ bool load_flight_file(const std::string& path, EventStore& out,
 
   std::uint32_t ring_count = 0;
   if (!cursor.read(ring_count)) return fail(error, "truncated ring count");
+  reserve_rings(cursor, ring_count, out);
   for (std::uint32_t r = 0; r < ring_count; ++r) {
     FlightRingInfo ring;
     if (!cursor.read(ring)) {

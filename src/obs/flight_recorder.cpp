@@ -8,14 +8,14 @@
 
 namespace realtor::obs {
 
-std::uint16_t NameTable::intern(const char* text) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = ids_.find(text);
-  if (it != ids_.end()) return it->second;
-  REALTOR_ASSERT_MSG(names_.size() < 0xFFFF, "flight name table overflow");
-  const auto id = static_cast<std::uint16_t>(names_.size());
-  names_.emplace_back(text != nullptr ? text : "");
-  ids_.emplace(text, id);
+std::uint16_t NameTable::Session::intern(const char* text) {
+  const auto it = table_.ids_.find(text);
+  if (it != table_.ids_.end()) return it->second;
+  REALTOR_ASSERT_MSG(table_.names_.size() < 0xFFFF,
+                     "flight name table overflow");
+  const auto id = static_cast<std::uint16_t>(table_.names_.size());
+  table_.names_.emplace_back(text != nullptr ? text : "");
+  table_.ids_.emplace(text, id);
   return id;
 }
 
@@ -34,11 +34,15 @@ FlightRing::FlightRing(std::uint64_t source, std::size_t capacity,
 namespace {
 
 // The entire hot path: copy the event header plus only the fields it
-// carries into the slot. Two compile-time sizes (≤3 fields covers nearly
-// every emission site) so the copies inline to straight wide moves — a
-// runtime-length memcpy would cost a libc dispatch per event. Bytes past
-// the copy keep a previous occupant's data; snapshot() never reads past
-// field_count.
+// carries into the slot. Two compile-time sizes so the copies inline to
+// straight wide moves — a runtime-length memcpy would cost a libc
+// dispatch per event. ≤3 fields (96 bytes) covers the lifecycle and
+// sampler sites; the message plane's episode/id/cause lineage makes six
+// fields the most common count in an attack run (72% of records in a
+// 40×40 one), and those copy the full 216 bytes. A ≤6-field tier (168
+// bytes) was measured and did not lower the recorder's overhead, so it
+// is not here. Bytes past the copy keep a previous occupant's data;
+// snapshot() never reads past field_count.
 inline void copy_event(const TraceEvent& event, TraceEvent& slot) {
   constexpr std::size_t kSmall =
       offsetof(TraceEvent, fields) + 3 * sizeof(TraceField);
@@ -68,7 +72,10 @@ void FlightRing::on_event(const TraceEvent& event) {
               std::memory_order_relaxed);
 }
 
-void FlightRing::pack(const TraceEvent& event, FlightRecord& out) const {
+namespace {
+
+void pack(const TraceEvent& event, NameTable::Session& names,
+          FlightRecord& out) {
   out.time = event.time;
   out.node = event.node;
   out.kind = static_cast<std::uint8_t>(event.kind);
@@ -76,7 +83,7 @@ void FlightRing::pack(const TraceEvent& event, FlightRecord& out) const {
   for (std::uint32_t i = 0; i < event.field_count; ++i) {
     const TraceField& field = event.fields[i];
     FlightField& packed = out.fields[i];
-    packed.key = names_.intern(field.key);
+    packed.key = names.intern(field.key);
     packed.type = static_cast<std::uint8_t>(field.type);
     switch (field.type) {
       case TraceField::Type::kUint:
@@ -92,7 +99,7 @@ void FlightRing::pack(const TraceEvent& event, FlightRecord& out) const {
         packed.bits = std::bit_cast<std::uint64_t>(field.d);
         break;
       case TraceField::Type::kString:
-        packed.bits = names_.intern(field.s != nullptr ? field.s : "");
+        packed.bits = names.intern(field.s != nullptr ? field.s : "");
         break;
       case TraceField::Type::kBool:
         packed.bits = field.b ? 1 : 0;
@@ -104,6 +111,8 @@ void FlightRing::pack(const TraceEvent& event, FlightRecord& out) const {
   }
 }
 
+}  // namespace
+
 FlightRingInfo FlightRing::snapshot(std::vector<FlightRecord>& out) const {
   std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
   if (thread_safe_) lock.lock();
@@ -113,16 +122,17 @@ FlightRingInfo FlightRing::snapshot(std::vector<FlightRecord>& out) const {
   const std::uint64_t capacity = slots_.size();
   info.stored = info.recorded < capacity ? info.recorded : capacity;
   info.dropped = info.recorded - info.stored;
-  out.clear();
-  out.reserve(info.stored);
-  for (std::uint64_t i = info.recorded - info.stored; i < info.recorded;
-       ++i) {
-    // Value-initialized record: unused field slots and padding come out
-    // zero, so dumps of identical runs stay byte-identical and never leak
-    // a previous slot occupant's bytes.
-    FlightRecord record{};
-    pack(slots_[i % capacity], record);
-    out.push_back(record);
+  // Value-initialized records: unused field slots and padding come out
+  // zero, so dumps of identical runs stay byte-identical and never leak a
+  // previous slot occupant's bytes.
+  out.assign(info.stored, FlightRecord{});
+  // One name-table lock for the whole ring; packing in ring order keeps
+  // the first-encounter id order, and with it the dump's bytes, fixed.
+  NameTable::Session names(names_);
+  std::uint64_t slot = info.dropped % capacity;
+  for (FlightRecord& record : out) {
+    pack(slots_[slot], names, record);
+    if (++slot == capacity) slot = 0;
   }
   return info;
 }
@@ -157,47 +167,45 @@ void write_pod(std::string& out, const T& value) {
   out.append(bytes, sizeof(T));
 }
 
+bool write_bytes(std::FILE* file, const void* data, std::size_t size) {
+  return std::fwrite(data, 1, size, file) == size;
+}
+
 }  // namespace
 
 bool FlightRecorder::dump(const std::string& path, std::string* error) const {
-  // Serialize into memory first so a mid-flight dump (attack trigger)
-  // costs one buffered write, then swap the file in atomically enough for
-  // our single-process uses (plain truncate + write).
-  // Snapshot every ring BEFORE serializing the name table: packing is
-  // what interns keys, so the table is only complete afterwards.
+  // Snapshot every ring BEFORE building the header: packing is what
+  // interns keys, so the name table is only complete afterwards.
   std::vector<FlightRingInfo> infos(rings_.size());
   std::vector<std::vector<FlightRecord>> records(rings_.size());
   for (std::size_t i = 0; i < rings_.size(); ++i) {
     infos[i] = rings_[i]->snapshot(records[i]);
   }
 
-  std::string buffer;
-  buffer.append(kFlightMagic, sizeof(kFlightMagic));
-
+  std::string header(kFlightMagic, sizeof(kFlightMagic));
   const std::vector<std::string> names = names_.snapshot();
-  write_pod(buffer, static_cast<std::uint32_t>(names.size()));
+  write_pod(header, static_cast<std::uint32_t>(names.size()));
   for (const std::string& name : names) {
     REALTOR_ASSERT_MSG(name.size() <= 0xFFFF, "flight name too long");
-    write_pod(buffer, static_cast<std::uint16_t>(name.size()));
-    buffer.append(name);
+    write_pod(header, static_cast<std::uint16_t>(name.size()));
+    header.append(name);
   }
-
-  write_pod(buffer, static_cast<std::uint32_t>(rings_.size()));
-  for (std::size_t i = 0; i < rings_.size(); ++i) {
-    write_pod(buffer, infos[i]);
-    for (const FlightRecord& record : records[i]) {
-      write_pod(buffer, record);
-    }
-  }
+  write_pod(header, static_cast<std::uint32_t>(rings_.size()));
 
   std::FILE* file = std::fopen(path.c_str(), "wb");
   if (file == nullptr) {
     if (error != nullptr) *error = "cannot write " + path;
     return false;
   }
-  const std::size_t written =
-      std::fwrite(buffer.data(), 1, buffer.size(), file);
-  const bool ok = written == buffer.size() && std::fclose(file) == 0;
+  // The packed records go to the file straight from the snapshot vectors:
+  // no second in-memory copy of the dump.
+  bool ok = write_bytes(file, header.data(), header.size());
+  for (std::size_t i = 0; ok && i < rings_.size(); ++i) {
+    ok = write_bytes(file, &infos[i], sizeof(FlightRingInfo)) &&
+         write_bytes(file, records[i].data(),
+                     records[i].size() * sizeof(FlightRecord));
+  }
+  ok = std::fclose(file) == 0 && ok;
   if (!ok && error != nullptr) *error = "short write to " + path;
   return ok;
 }

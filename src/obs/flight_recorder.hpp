@@ -53,12 +53,23 @@ inline constexpr std::size_t kDefaultFlightCapacity = 65536;
 
 /// Interns const char* → dense u16 id, first-encounter order. Two pointers
 /// with equal content get distinct ids (only content matters to the
-/// reader, which maps ids back to the stored bytes). Thread-safe with a
-/// plain mutex — interning only happens at snapshot()/dump() time, never
-/// on the event hot path.
+/// reader, which maps ids back to the stored bytes). Interning goes
+/// through a Session, which holds the table's mutex for a whole batch:
+/// FlightRing::snapshot() opens one per ring, so packing takes one lock
+/// per snapshot rather than one per field, and never runs on the event
+/// hot path.
 class NameTable {
  public:
-  std::uint16_t intern(const char* text);
+  class Session {
+   public:
+    explicit Session(NameTable& table) : table_(table), lock_(table.mutex_) {}
+    std::uint16_t intern(const char* text);
+
+   private:
+    NameTable& table_;
+    std::lock_guard<std::mutex> lock_;
+  };
+
   /// Stable snapshot of the interned strings, id order.
   std::vector<std::string> snapshot() const;
 
@@ -105,10 +116,11 @@ struct FlightRingInfo {
 /// to static strings stay pointers) into the next slot and bumps a
 /// counter. Interning, episode lifting and canonical FlightRecord packing
 /// all happen at snapshot()/dump() time, which runs once per attack or
-/// exit rather than once per event. Single-writer by default (the
-/// deterministic simulation); pass thread_safe=true when the writer and
-/// the dumper are different threads (agile: reactor threads write, the
-/// driver dumps).
+/// exit rather than once per event; a snapshot holds the ring's mutex
+/// (thread-safe rings) and the name table's lock once for the whole
+/// ring. Single-writer by default (the deterministic simulation); pass
+/// thread_safe=true when the writer and the dumper are different threads
+/// (agile: reactor threads write, the driver dumps).
 class FlightRing final : public TraceSink {
  public:
   FlightRing(std::uint64_t source, std::size_t capacity, NameTable& names,
@@ -126,13 +138,12 @@ class FlightRing final : public TraceSink {
     return head > slots_.size() ? head - slots_.size() : 0;
   }
 
-  /// Current content oldest → newest packed into canonical FlightRecords,
-  /// plus the counters at snapshot time.
+  /// Current content oldest → newest packed into canonical FlightRecords
+  /// (replacing `out`'s content), plus the counters at snapshot time.
+  /// Interns every key and string value under one name-table lock.
   FlightRingInfo snapshot(std::vector<FlightRecord>& out) const;
 
  private:
-  void pack(const TraceEvent& event, FlightRecord& out) const;
-
   std::uint64_t source_;
   NameTable& names_;
   std::vector<TraceEvent> slots_;
@@ -160,7 +171,13 @@ class FlightRecorder {
   std::uint64_t total_dropped() const;
 
   /// Writes every ring's current content to `path`. Safe to call
-  /// mid-flight (attack dumps) and again later (exit dump).
+  /// mid-flight (attack dumps) and again later (exit dump). Every ring is
+  /// snapshotted first (that completes the name table), then the small
+  /// header is written from a buffer and each ring's info and packed
+  /// records straight from its snapshot vector — the dump is never copied
+  /// whole in memory. Returns false with "cannot write <path>" when the
+  /// file cannot be opened, "short write to <path>" when a write or the
+  /// close fails.
   bool dump(const std::string& path, std::string* error = nullptr) const;
 
  private:

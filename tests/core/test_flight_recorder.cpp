@@ -150,6 +150,95 @@ TEST(FlightRecorder, RepeatedDumpsOfOneRunAreByteIdentical) {
   std::remove(path_b.c_str());
 }
 
+/// 64-bit FNV-1a over a whole byte string.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// A fixed two-ring recorder: ring 3 wraps (capacity 4, six events) and
+/// carries every payload type, the episode header lift, a null string, a
+/// non-finite double and 0-, 3-, 6- and 8-field events; ring 9 shares the
+/// name table and reuses some of its names. Every name is one pointer, so
+/// the name table does not depend on whether the compiler merges equal
+/// string literals.
+void record_golden_sequence(FlightRecorder& recorder) {
+  static constexpr const char* kEpisode = "episode";
+  static constexpr const char* kReason = "reason";
+  static constexpr const char* kDeadline = "deadline";
+  FlightRing& a = recorder.ring(3);
+  FlightRing& b = recorder.ring(9);
+  a.on_event(TraceEvent(0.0, 0, EventKind::kEngineStep));  // overwritten
+  for (std::uint64_t i = 1; i < 5; ++i) {
+    TraceEvent event(0.5 * static_cast<double>(i),
+                     static_cast<NodeId>(i), EventKind::kHelpSent);
+    event.with(kEpisode, 100 + i)
+        .with("load", 0.25 * static_cast<double>(i))
+        .with(kReason, i % 2 == 1 ? "capacity" : kDeadline);
+    if (i >= 3) {
+      event.with("answered", i == 3).with("id", 7 * i).with("cause", i);
+    }
+    a.on_event(event);
+  }
+  TraceEvent full(3.0, kInvalidNode, EventKind::kSystemSample);
+  full.with(kEpisode, 9)
+      .with("nan", std::numeric_limits<double>::quiet_NaN())
+      .with("inf", -std::numeric_limits<double>::infinity())
+      .with("empty", static_cast<const char*>(nullptr))
+      .with("flag", false)
+      .with("none", 0)
+      .with("big", std::numeric_limits<std::uint64_t>::max())
+      .with("neg", -0.0);
+  full.fields[5].type = TraceField::Type::kNone;
+  a.on_event(full);
+  b.on_event(TraceEvent(1.25, 12, EventKind::kNodeKilled));
+  TraceEvent pledge(2.75, 4, EventKind::kPledgeReceived);
+  pledge.with(kReason, kDeadline).with("availability", 0.625);
+  b.on_event(pledge);
+}
+
+TEST(FlightRecorder, GoldenDumpBytes) {
+  // Pins the on-disk format byte for byte. A change to these literals is
+  // a dump format change: readers of old dumps would break with it.
+  const std::string path = temp_path("flight_golden.bin");
+  FlightRecorder recorder(/*capacity_per_ring=*/4);
+  record_golden_sequence(recorder);
+  ASSERT_EQ(recorder.total_dropped(), 2u);
+  ASSERT_TRUE(recorder.dump(path));
+  const std::string bytes = slurp(path);
+  EXPECT_EQ(bytes.size(), 1111u);
+  EXPECT_EQ(fnv1a(bytes), 0xf8524f7efd3b7f7fULL);
+  std::remove(path.c_str());
+}
+
+TEST(FlightRecorder, DumpReportsAFullDevice) {
+  FlightRecorder recorder(4);
+  record_golden_sequence(recorder);
+  std::string error;
+  EXPECT_FALSE(recorder.dump("/dev/full", &error));
+  EXPECT_EQ(error, "short write to /dev/full");
+}
+
+TEST(FlightRecorder, DumpReportsAnUnwritablePath) {
+  const std::string path = temp_path("flight_no_such_dir/dump.bin");
+  FlightRecorder recorder(4);
+  record_golden_sequence(recorder);
+  std::string error;
+  EXPECT_FALSE(recorder.dump(path, &error));
+  EXPECT_EQ(error, "cannot write " + path);
+}
+
 TEST(FlightRecorder, MultiRingDumpMergesByTime) {
   // Agile shape: one ring per host, all sharing the recorder's name
   // table; the loader merges them into one time-ordered stream.
@@ -289,13 +378,6 @@ TEST(FlightRecorder, AttackDumpCapturesThePreKillWindow) {
   }
   EXPECT_EQ(kills, 3u);  // the wave's victims, captured mid-flight
   std::remove(path.c_str());
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 void spit(const std::string& path, const std::string& bytes) {

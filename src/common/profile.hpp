@@ -41,8 +41,13 @@ class Profiler {
  public:
   static Profiler& instance();
 
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  /// The switch is a static atomic rather than state reached through
+  /// instance(), so a disabled ProfileScope is one inline relaxed load:
+  /// no call and no function-local static guard.
+  static void set_enabled(bool on) {
+    enabled_.store(on, std::memory_order_relaxed);
+  }
+  static bool enabled() { return enabled_.load(std::memory_order_relaxed); }
 
   /// Drops every recorded scope (the enabled flag is untouched). Must not
   /// race live ProfileScopes: call it between runs, when every scope on
@@ -74,7 +79,7 @@ class Profiler {
   void flatten(std::uint32_t index, int depth, const std::string& prefix,
                std::vector<ProfileEntry>& out) const;
 
-  std::atomic<bool> enabled_{false};
+  static inline std::atomic<bool> enabled_{false};
   mutable std::mutex mutex_;       // guards nodes_ structure (not totals)
   std::deque<Node> nodes_;         // deque: stable addresses for atomics
 };
@@ -83,7 +88,7 @@ class Profiler {
 class ProfileScope {
  public:
   explicit ProfileScope(const char* name) {
-    if (Profiler::instance().enabled()) begin(name);
+    if (Profiler::enabled()) begin(name);
   }
   ~ProfileScope() {
     if (armed_) end();

@@ -7,11 +7,14 @@
 // events into a bounded ring that overwrites its oldest entries, so
 // steady-state cost is one bounded memcpy per event (header plus only the
 // fields the event carries) and memory stays capped at capacity × slot
-// size. When something interesting happens (an attack wave, end of run)
-// the rings are packed into canonical fixed-width records and dumped to a
-// compact binary file that flight_reader.hpp converts back into the exact
-// event model the JSONL pipeline produces — realtor_trace, the span
-// builder and the invariant checker run unchanged on dumps.
+// size (216 bytes). The slots are uninitialised storage, so making a ring
+// touches none of them: a large ring's pages are committed as records
+// land, and a run that records fewer events than the capacity never pays
+// for the rest. When something interesting happens (an attack wave, end
+// of run) the rings are packed into canonical fixed-width records and
+// dumped to a compact binary file that flight_reader.hpp converts back
+// into the exact event model the JSONL pipeline produces — realtor_trace,
+// the span builder and the invariant checker run unchanged on dumps.
 //
 // No strings and no hashing on the hot path: payload keys and string
 // values are const char* pointers to static storage (the TraceField
@@ -114,28 +117,33 @@ struct FlightRingInfo {
 /// The hot path is "record now, understand later": on_event() copies the
 /// raw TraceEvent (header plus the fields it actually carries — pointers
 /// to static strings stay pointers) into the next slot and bumps a
-/// counter. Interning, episode lifting and canonical FlightRecord packing
-/// all happen at snapshot()/dump() time, which runs once per attack or
-/// exit rather than once per event; a snapshot holds the ring's mutex
-/// (thread-safe rings) and the name table's lock once for the whole
-/// ring. Single-writer by default (the deterministic simulation); pass
-/// thread_safe=true when the writer and the dumper are different threads
-/// (agile: reactor threads write, the driver dumps).
+/// counter. The slot array is allocated, never constructed: a slot is
+/// first written by the event that lands in it, and snapshot() reads only
+/// slots that hold a record. Interning, episode lifting and canonical
+/// FlightRecord packing all happen at snapshot()/dump() time, which runs
+/// once per attack or exit rather than once per event; a snapshot holds
+/// the ring's mutex (thread-safe rings) and the name table's lock once for
+/// the whole ring. Single-writer by default (the deterministic
+/// simulation); pass thread_safe=true when the writer and the dumper are
+/// different threads (agile: reactor threads write, the driver dumps).
 class FlightRing final : public TraceSink {
  public:
   FlightRing(std::uint64_t source, std::size_t capacity, NameTable& names,
              bool thread_safe = false);
+  ~FlightRing() override;
+  FlightRing(const FlightRing&) = delete;
+  FlightRing& operator=(const FlightRing&) = delete;
 
   void on_event(const TraceEvent& event) override;
 
   std::uint64_t source() const { return source_; }
-  std::size_t capacity() const { return slots_.size(); }
+  std::size_t capacity() const { return capacity_; }
   std::uint64_t recorded() const {
     return head_.load(std::memory_order_relaxed);
   }
   std::uint64_t dropped() const {
     const std::uint64_t head = recorded();
-    return head > slots_.size() ? head - slots_.size() : 0;
+    return head > capacity_ ? head - capacity_ : 0;
   }
 
   /// Current content oldest → newest packed into canonical FlightRecords
@@ -146,7 +154,8 @@ class FlightRing final : public TraceSink {
  private:
   std::uint64_t source_;
   NameTable& names_;
-  std::vector<TraceEvent> slots_;
+  std::size_t capacity_;
+  TraceEvent* slots_;  // uninitialised; a slot is written before it is read
   std::atomic<std::uint64_t> head_{0};
   std::size_t cursor_ = 0;  // head_ mod capacity, wrap-maintained
   bool thread_safe_;

@@ -6,34 +6,46 @@
 // records. Numbers round-trip (shortest std::to_chars form), strings are
 // escaped per RFC 8259. Lines are written under a mutex so the threaded
 // Agile runtime can share one sink across reactor threads.
+//
+// One formatter, append_jsonl, writes every record: straight into the
+// sink's buffer, through a bounded stack line buffer, with the
+// `,"kind":"<name>"` fragments pre-rendered per kind and the escaped
+// `,"key":` fragments cached per thread. A cache hit compares the key's
+// bytes, not only its pointer, so a key string freed and replaced at the
+// same address still prints its own name. Integer-valued doubles below
+// 1e5 in magnitude print as integers, which is exactly the text
+// std::to_chars's shortest form gives them; every other double goes
+// through std::to_chars.
 #pragma once
 
 #include <fstream>
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <string_view>
 
 #include "obs/trace.hpp"
 
 namespace realtor::obs {
 
-/// Appends `text` JSON-escaped (quotes, backslashes, control characters).
-void append_json_escaped(std::string& out, std::string_view text);
+/// Appends the sink's line format for `event` to `out`, without the
+/// trailing newline.
+void append_jsonl(std::string& out, const TraceEvent& event);
 
-/// The sink's line format without the trailing newline; exposed for tests.
+/// append_jsonl into a fresh string; for tests and tools that want one
+/// line at a time.
 std::string format_jsonl(const TraceEvent& event);
 
 /// Flush guarantee: events appear in the output in emission order in
-/// every mode. With flush_every == 0 (the default) each event is written
-/// to the stream as it arrives. With flush_every == K > 0 lines are
-/// batched in memory and written + flushed once K events accumulate —
-/// one syscall-ish write per K events instead of per event. flush() (and
-/// the destructor) always drains the batch, so after either returns every
-/// emitted event is in the stream; between batch flushes up to K-1 events
-/// may be buffered and would be lost on a crash. Ordering is protected by
-/// the same mutex in both modes, so the threaded Agile runtime can share
-/// one buffered sink.
+/// every mode, and both modes write the same bytes. Each event is
+/// formatted straight into the sink's buffer. With flush_every == 0 (the
+/// default) the buffer goes to the stream after every event. With
+/// flush_every == K > 0 lines are batched in memory and written + flushed
+/// once K events accumulate — one syscall-ish write per K events instead
+/// of per event. flush() (and the destructor) always drains the batch, so
+/// after either returns every emitted event is in the stream; between
+/// batch flushes up to K-1 events may be buffered and would be lost on a
+/// crash. Ordering is protected by the same mutex in both modes, so the
+/// threaded Agile runtime can share one buffered sink.
 class JsonlSink final : public TraceSink {
  public:
   /// Writes to a borrowed stream (tests, stdout piping).

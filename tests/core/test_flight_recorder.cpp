@@ -4,6 +4,7 @@
 // equivalence between a flight dump and a JSONL trace of the same seeded
 // run.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <fstream>
@@ -220,6 +221,65 @@ TEST(FlightRecorder, GoldenDumpBytes) {
   EXPECT_EQ(bytes.size(), 1111u);
   EXPECT_EQ(fnv1a(bytes), 0xf8524f7efd3b7f7fULL);
   std::remove(path.c_str());
+}
+
+// The slots are uninitialised storage: making a ring commits none of its
+// 216-byte slots (a value-initialised 2^20-slot ring faults in ~55,000
+// pages before the first event).
+TEST(FlightRing, ConstructionCommitsNoSlotPages) {
+  constexpr std::size_t kSlots = std::size_t{1} << 20;
+  constexpr std::size_t kBytes = kSlots * sizeof(TraceEvent);
+  const auto minor_faults = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_minflt;
+  };
+  // Faults the allocator takes for a block this size are not the ring's:
+  // glibc takes about one, AddressSanitizer's allocator one per page of
+  // the block's shadow.
+  const long start = minor_faults();
+  void* volatile block = ::operator new(kBytes);  // volatile: not elided
+  const long allocator = minor_faults() - start;
+  ::operator delete(block);
+
+  NameTable names;
+  const long before = minor_faults();
+  FlightRing ring(/*source=*/0, kSlots, names);
+  const long after = minor_faults();
+  EXPECT_LT(after - before, 1000 + allocator);
+  EXPECT_EQ(ring.capacity(), kSlots);
+  EXPECT_EQ(ring.recorded(), 0u);
+}
+
+// Capacity is not part of a dump, and never-written slots are never read:
+// a huge, mostly untouched ring dumps exactly what a small one does.
+TEST(FlightRecorder, LargeUnderfilledRingDumpsLikeASmallOne) {
+  const auto record = [](FlightRecorder& recorder) {
+    FlightRing& ring = recorder.ring(3);
+    ring.on_event(TraceEvent(0.5, kInvalidNode, EventKind::kEngineStep)
+                      .with("processed", std::uint64_t{42}));
+    ring.on_event(TraceEvent(1.25, 9, EventKind::kHelpSent)
+                      .with("episode", std::uint64_t{5})
+                      .with("id", std::uint64_t{6})
+                      .with("cause", std::uint64_t{0})
+                      .with("urgency", 0.75)
+                      .with("reason", "overload")
+                      .with("forced", false));
+    ring.on_event(TraceEvent(2.0, 4, EventKind::kNodeKilled));
+  };
+  const std::string small_path = temp_path("flight_small_ring.bin");
+  const std::string large_path = temp_path("flight_large_ring.bin");
+  FlightRecorder small(/*capacity_per_ring=*/8);
+  FlightRecorder large(/*capacity_per_ring=*/std::size_t{1} << 20);
+  record(small);
+  record(large);
+  ASSERT_TRUE(small.dump(small_path));
+  ASSERT_TRUE(large.dump(large_path));
+  const std::string small_bytes = slurp(small_path);
+  EXPECT_FALSE(small_bytes.empty());
+  EXPECT_EQ(slurp(large_path), small_bytes);
+  std::remove(small_path.c_str());
+  std::remove(large_path.c_str());
 }
 
 TEST(FlightRecorder, DumpReportsAFullDevice) {

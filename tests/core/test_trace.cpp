@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -257,6 +263,156 @@ TEST(JsonlSink, BufferedModeKeepsOrderAndFlushDrains) {
   EXPECT_EQ(buffered.lines_written(), 10u);
   buffered.flush();  // drains the partial tail batch
   EXPECT_EQ(buffered_out.str(), direct_out.str());
+}
+
+/// One record per row of the literal table below: every field type, a
+/// system record, string and key escapes, non-finite values and the
+/// doubles at the edges of the integer shortcut.
+std::vector<TraceEvent> jsonl_table_events() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<TraceEvent> events;
+  TraceEvent every(12.5, 3, EventKind::kPledgeReceived);
+  every.with("pledger", std::numeric_limits<std::uint64_t>::max())
+      .with("availability", 0.625)
+      .with("reason", "timeout")
+      .with("fresh", true)
+      .with("stale", false)
+      .with("gone", 0);
+  every.fields[5].type = TraceField::Type::kNone;
+  events.push_back(every);
+  events.push_back(TraceEvent(0.0, kInvalidNode, EventKind::kEngineStep)
+                       .with("processed", std::uint64_t{1000}));
+  events.push_back(TraceEvent(1e-3, 4294967294u, EventKind::kSystemSample));
+  events.push_back(TraceEvent(60.0, 7, EventKind::kNodeSample)
+                       .with("name", "a\"b\\c\n\td\x01\r\x1f\x7f\xc3\xa9")
+                       .with("k\"e\\y\n\t\x01", 1));
+  events.push_back(TraceEvent(2.0, 0, EventKind::kNodeSample)
+                       .with("nan", std::numeric_limits<double>::quiet_NaN())
+                       .with("inf", kInf)
+                       .with("ninf", -kInf));
+  events.push_back(TraceEvent(-0.0, 1, EventKind::kLiveTick)
+                       .with("nz", -0.0)
+                       .with("tenth", 0.1)
+                       .with("below", 99999.0)
+                       .with("at", 100000.0)
+                       .with("neg", -99999.0)
+                       .with("big", 1e16));
+  events.push_back(TraceEvent(99999.0, 2, EventKind::kAlertFiring)
+                       .with("denorm", 5e-324)
+                       .with("zero", 0.0)
+                       .with("ten_k", 10000.0)
+                       .with("neg_ten_k", -10000.0)
+                       .with("half", -0.5)
+                       .with("third", 1.0 / 3.0));
+  events.push_back(
+      TraceEvent(100000.0, 5, EventKind::kCount).with("empty", ""));
+  return events;
+}
+
+// Pins the sink's bytes for the table above. Any formatter rewrite must
+// reproduce these lines exactly: the trace readers, the perfbench
+// fingerprints and every saved trace depend on them.
+TEST(JsonlFormat, LiteralTable) {
+  const std::vector<std::string> expected = {
+      R"({"t":12.5,"node":3,"kind":"pledge_received","pledger":18446744073709551615,"availability":0.625,"reason":"timeout","fresh":true,"stale":false,"gone":null})",
+      R"({"t":0,"kind":"engine_step","processed":1000})",
+      R"({"t":0.001,"node":4294967294,"kind":"system_sample"})",
+      R"({"t":60,"node":7,"kind":"node_sample","name":"a\"b\\c\n\td\u0001\r\u001f)"
+      "\x7f\xc3\xa9"
+      R"(","k\"e\\y\n\t\u0001":1})",
+      R"({"t":2,"node":0,"kind":"node_sample","nan":"nan","inf":"inf","ninf":"-inf"})",
+      R"({"t":-0,"node":1,"kind":"live_tick","nz":-0,"tenth":0.1,"below":99999,"at":1e+05,"neg":-99999,"big":1e+16})",
+      R"({"t":99999,"node":2,"kind":"alert_firing","denorm":5e-324,"zero":0,"ten_k":10000,"neg_ten_k":-10000,"half":-0.5,"third":0.3333333333333333})",
+      R"({"t":1e+05,"node":5,"kind":"?","empty":""})",
+  };
+  const std::vector<TraceEvent> events = jsonl_table_events();
+  ASSERT_EQ(events.size(), expected.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(format_jsonl(events[i]), expected[i]) << "row " << i;
+  }
+}
+
+// Every number the formatter writes must be std::to_chars's shortest
+// round-trip text, whichever internal path produced it.
+TEST(JsonlFormat, NumbersMatchToCharsShortest) {
+  const auto expect_shortest = [](double value) {
+    char buf[32];
+    const std::string text(buf,
+                           std::to_chars(buf, buf + sizeof(buf), value).ptr);
+    TraceEvent event(value, 0, EventKind::kNodeSample);
+    event.with("v", value);
+    ASSERT_EQ(format_jsonl(event), "{\"t\":" + text +
+                                       ",\"node\":0,\"kind\":\"node_sample\","
+                                       "\"v\":" + text + "}")
+        << std::bit_cast<std::uint64_t>(value);
+  };
+  expect_shortest(-0.0);
+  for (int i = -200000; i <= 200000; ++i) {
+    expect_shortest(static_cast<double>(i));
+  }
+  std::mt19937_64 rng(20260418);
+  std::uniform_real_distribution<double> near(-2e5, 2e5);
+  std::uniform_int_distribution<std::int64_t> whole(-(std::int64_t{1} << 60),
+                                                    std::int64_t{1} << 60);
+  for (int i = 0; i < 100000; ++i) {
+    double value = 0.0;
+    switch (i % 4) {
+      case 0:  // any finite bit pattern
+        do {
+          value = std::bit_cast<double>(rng());
+        } while (!std::isfinite(value));
+        break;
+      case 1:
+        value = near(rng);
+        break;
+      case 2:  // a few decimal places, like simulated times
+        value = std::round(near(rng) * 100.0) / 100.0;
+        break;
+      default:
+        value = static_cast<double>(whole(rng));
+    }
+    expect_shortest(value);
+  }
+}
+
+// The key cache must not trust a pointer alone: a key string freed and
+// replaced by a different one at the same address prints its own name.
+TEST(JsonlFormat, KeyReusedAddressPrintsItsOwnBytes) {
+  char key[16];
+  const char* keys[] = {"alpha", "alphb", "alp", "alphabet", "x\"y", "alpha"};
+  for (const char* text : keys) {
+    std::strcpy(key, text);
+    TraceEvent event(1.0, 0, EventKind::kNodeSample);
+    event.with(key, 7);
+    std::string escaped;
+    for (const char* c = text; *c != '\0'; ++c) {
+      if (*c == '"') escaped += '\\';
+      escaped += *c;
+    }
+    EXPECT_EQ(format_jsonl(event),
+              "{\"t\":1,\"node\":0,\"kind\":\"node_sample\",\"" + escaped +
+                  "\":7}");
+  }
+}
+
+// Write-through and every batch size write the same bytes for one event
+// sequence: exactly the formatted lines, newline-terminated, in order.
+TEST(JsonlSink, FlushModesWriteIdenticalBytes) {
+  std::vector<TraceEvent> events;
+  for (int round = 0; round < 5; ++round) {
+    for (const TraceEvent& event : jsonl_table_events()) events.push_back(event);
+  }
+  std::string expected;
+  for (const TraceEvent& event : events) expected += format_jsonl(event) + "\n";
+  for (const std::size_t flush_every : {0u, 1u, 3u, 7u, 4096u}) {
+    std::ostringstream out;
+    {
+      JsonlSink sink(out, flush_every);
+      for (const TraceEvent& event : events) sink.on_event(event);
+      EXPECT_EQ(sink.lines_written(), events.size());
+    }
+    EXPECT_EQ(out.str(), expected) << "flush_every=" << flush_every;
+  }
 }
 
 TEST(MetricsRegistry, FindOrCreateKeepsReferencesStable) {

@@ -9,6 +9,7 @@
 //                        [--trace=run.jsonl [--trace-flush-every=256]]
 //                        [--flight-recorder[=N] [--flight-out=path]]
 //                        [--live-metrics[=live.prom] [--live-cadence=1]
+//                         [--live-window=10]
 //                         [--alert=rule,rule,...]]
 //
 // Tracing: --trace shares one thread-safe JSONL sink across all reactor
@@ -16,11 +17,12 @@
 // source per host in the dump) and dumps on exit, plus right after each
 // --attack kill. Analyze either output with realtor_trace.
 //
-// --live-metrics starts the wall-clock LiveMonitor: a sampler thread
-// reads the hosts' atomic counters every --live-cadence model seconds,
-// evaluates the same alert rules realtor_sim --live-metrics uses, and
-// rewrites the .prom file with the latest snapshot (watch it with
-// `watch cat live.prom`).
+// --live-metrics feeds every host's trace events to the simulation's live
+// plane (obs::live::LivePlane): the same windows, alert rules and
+// exposition format as realtor_sim --live-metrics. The workload driver
+// ticks it every --live-cadence model seconds and once more after the
+// reactors join, rewriting the .prom file with the latest snapshot
+// (watch it with `watch cat live.prom`).
 #include <cstdio>
 #include <iostream>
 #include <optional>
@@ -111,10 +113,10 @@ int main(int argc, char** argv) {
   if (flags.has("live-metrics")) {
     live_out = flags.get_string("live-metrics", "live.prom");
     if (live_out == "true") live_out = "live.prom";
-    agile::LiveMonitorConfig live;
+    obs::live::LiveConfig live;
     live.out = live_out;
-    live.cadence = flags.get_double("live-cadence", 1.0);
     live.window = flags.get_double("live-window", 10.0);
+    live.write_through = true;
     const std::string rules = flags.get_string("alert", "");
     std::size_t start = 0;
     while (start < rules.size()) {
@@ -126,6 +128,7 @@ int main(int argc, char** argv) {
       start = comma + 1;
     }
     config.live = std::move(live);
+    config.live_cadence = flags.get_double("live-cadence", 1.0);
   }
 
   std::cout << "Spinning up " << config.num_hosts
@@ -138,7 +141,7 @@ int main(int argc, char** argv) {
             << "x real time.\n\n";
 
   agile::Cluster cluster(config);
-  if (config.live && cluster.live() && !cluster.live()->ok()) {
+  if (cluster.live() && !cluster.live()->ok()) {
     std::cerr << cluster.live()->error() << '\n';
     return 1;
   }
@@ -178,7 +181,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (agile::LiveMonitor* live = cluster.live()) {
+  if (const obs::live::LivePlane* live = cluster.live()) {
     std::cout << "live: " << live->snapshots() << " snapshots, "
               << live->alerts_fired() << " alerts -> " << live_out << '\n';
   }

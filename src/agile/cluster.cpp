@@ -38,7 +38,13 @@ Cluster::Cluster(const ClusterConfig& config)
     return id < hosts_.size() ? hosts_[id].get() : nullptr;
   };
   router_.sinks.assign(config_.num_hosts, nullptr);
-  tracer_.set_sink(&router_);
+  if (config_.live) {
+    obs::live::LiveConfig live = *config_.live;
+    live.node_count = config_.num_hosts;
+    live_ = std::make_unique<obs::live::LivePlane>(std::move(live));
+    router_.live = live_.get();
+  }
+  if (config_.trace_sink_factory || live_) tracer_.set_sink(&router_);
   for (NodeId id = 0; id < config_.num_hosts; ++id) {
     HostConfig host_config;
     host_config.id = id;
@@ -54,21 +60,20 @@ Cluster::Cluster(const ClusterConfig& config)
     shared.episodes = &episodes_;
     if (config_.trace_sink_factory) {
       router_.sinks[id] = config_.trace_sink_factory(id);
-      if (router_.sinks[id] != nullptr) shared.tracer = &tracer_;
     }
+    if (router_.sinks[id] != nullptr || live_) shared.tracer = &tracer_;
     hosts_.push_back(std::make_unique<HostRuntime>(
         host_config, clock_, network_, naming_, std::move(shared), resolver));
-  }
-  if (config_.live) {
-    LiveMonitorConfig live = *config_.live;
-    live.node_count = config_.num_hosts;
-    live_ = std::make_unique<LiveMonitor>(std::move(live));
   }
 }
 
 void Cluster::HostSinkRouter::on_event(const obs::TraceEvent& event) {
   if (event.node < sinks.size() && sinks[event.node] != nullptr) {
     sinks[event.node]->on_event(event);
+  }
+  if (live != nullptr) {
+    std::lock_guard<std::mutex> lock(live_mutex_);
+    live->on_event(event);
   }
 }
 
@@ -99,41 +104,68 @@ ClusterMetrics Cluster::run() {
     trace.pop_back();
   }
 
-  // Attack timeline: (time, victim, is_kill), executed by the driver
-  // between arrival injections.
-  struct LifecycleEvent {
+  // Driver timeline, executed between arrival injections: attack kills
+  // and restores, and the live plane's tick boundaries.
+  enum class Step { kKill, kRestore, kTick };
+  struct TimelineEvent {
     SimTime time;
     NodeId victim;
-    bool kill;
+    Step step;
   };
-  std::vector<LifecycleEvent> events;
+  const SimTime end = config_.model_duration + config_.drain;
+  std::vector<TimelineEvent> events;
   for (const ClusterConfig::Attack& attack : config_.attacks) {
     REALTOR_ASSERT(attack.victim < config_.num_hosts);
-    events.push_back({attack.time, attack.victim, true});
+    events.push_back({attack.time, attack.victim, Step::kKill});
     if (attack.outage > 0.0) {
-      events.push_back({attack.time + attack.outage, attack.victim, false});
+      events.push_back(
+          {attack.time + attack.outage, attack.victim, Step::kRestore});
     }
   }
-  std::sort(events.begin(), events.end(),
-            [](const LifecycleEvent& a, const LifecycleEvent& b) {
-              return a.time < b.time;
-            });
+  if (live_ && config_.live_cadence > 0.0) {
+    for (std::uint64_t k = 1;
+         static_cast<double>(k) * config_.live_cadence < end; ++k) {
+      events.push_back({static_cast<double>(k) * config_.live_cadence,
+                        kInvalidNode, Step::kTick});
+    }
+  }
+  // Stable: a kill or restore lands before the tick at the same instant.
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TimelineEvent& a, const TimelineEvent& b) {
+                     return a.time < b.time;
+                   });
   std::size_t next_event = 0;
   std::uint64_t killed = 0;
   std::uint64_t restored = 0;
   const auto apply_events_until = [&](SimTime t) {
     while (next_event < events.size() && events[next_event].time <= t) {
-      const LifecycleEvent& event = events[next_event++];
+      const TimelineEvent& event = events[next_event++];
       std::this_thread::sleep_until(clock_.wall_at(event.time));
-      if (event.kill) {
-        hosts_[event.victim]->stop();
-        if (config_.on_attack) {
-          config_.on_attack(static_cast<std::size_t>(killed), event.time);
-        }
-        ++killed;
-      } else {
-        hosts_[event.victim]->restart();
-        ++restored;
+      switch (event.step) {
+        case Step::kKill:
+          // Traced after the join, so the victim's reactor has made its
+          // last write to the victim's sink.
+          hosts_[event.victim]->stop();
+          tracer_.emit(obs::TraceEvent(clock_.now(), event.victim,
+                                       obs::EventKind::kNodeKilled));
+          if (config_.on_attack) {
+            config_.on_attack(static_cast<std::size_t>(killed), event.time);
+          }
+          ++killed;
+          break;
+        case Step::kRestore:
+          // Traced before the respawn, for the same reason. restart()
+          // rebuilds the host's protocol, so the restore is cold.
+          tracer_.emit(obs::TraceEvent(clock_.now(), event.victim,
+                                       obs::EventKind::kNodeRestored)
+                           .with("cold", true));
+          hosts_[event.victim]->restart();
+          ++restored;
+          break;
+        case Step::kTick:
+          tracer_.emit(obs::TraceEvent(event.time, kInvalidNode,
+                                       obs::EventKind::kLiveTick));
+          break;
       }
     }
   };
@@ -149,31 +181,6 @@ ClusterMetrics Cluster::run() {
   // consume the experiment timeline. The engines' clamp absorbs this one
   // small step back.
   clock_.reset_epoch();
-  if (live_ && live_->ok()) {
-    live_->start(clock_, [this] {
-      LiveMonitor::Sample s;
-      for (const auto& host : hosts_) {
-        const HostStats& stats = host->stats();
-        s.admitted += stats.admitted_local.load(std::memory_order_relaxed) +
-                      stats.admitted_migrated.load(std::memory_order_relaxed);
-        s.rejected += stats.rejected.load(std::memory_order_relaxed);
-        s.helps += stats.helps_sent.load(std::memory_order_relaxed);
-        s.messages +=
-            stats.helps_sent.load(std::memory_order_relaxed) +
-            stats.pledges_sent.load(std::memory_order_relaxed) +
-            stats.negotiation_calls.load(std::memory_order_relaxed);
-        s.episodes_closed +=
-            stats.migration_latency_samples.load(std::memory_order_relaxed);
-        s.latency_sum +=
-            static_cast<double>(
-                stats.migration_latency_us.load(std::memory_order_relaxed)) *
-            1e-6;
-        if (host->running()) ++s.nodes_alive;
-      }
-      s.episodes_issued = episodes_.issued();
-      return s;
-    });
-  }
 
   for (const sim::Arrival& arrival : trace) {
     apply_events_until(arrival.time);
@@ -184,19 +191,22 @@ ClusterMetrics Cluster::run() {
     task.injected_at = arrival.time;
     network_.deliver_reliable(arrival.node, arrival.node, Payload{task});
   }
-  apply_events_until(config_.model_duration + config_.drain);
-
-  std::this_thread::sleep_until(
-      clock_.wall_at(config_.model_duration + config_.drain));
-
-  if (live_) live_->stop();  // final sample before hosts stop
-  ClusterMetrics metrics = aggregate(trace.size());
-  metrics.hosts_killed = killed;
-  metrics.hosts_restored = restored;
+  apply_events_until(end);
+  std::this_thread::sleep_until(clock_.wall_at(end));
 
   for (auto& host : hosts_) {
     host->stop();
   }
+  // Every reactor has joined, so the final snapshot counts every decision
+  // the metrics below count.
+  if (live_) {
+    tracer_.emit(obs::TraceEvent(end, kInvalidNode, obs::EventKind::kLiveTick)
+                     .with("final", true));
+    live_->flush();
+  }
+  ClusterMetrics metrics = aggregate(trace.size());
+  metrics.hosts_killed = killed;
+  metrics.hosts_restored = restored;
   return metrics;
 }
 

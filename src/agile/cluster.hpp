@@ -5,16 +5,17 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
 #include "agile/channel.hpp"
 #include "agile/clock.hpp"
 #include "agile/host_runtime.hpp"
-#include "agile/live_monitor.hpp"
 #include "agile/naming.hpp"
 #include "common/types.hpp"
 #include "net/topology.hpp"
+#include "obs/live/live_plane.hpp"
 #include "obs/trace.hpp"
 #include "proto/config.hpp"
 
@@ -60,10 +61,13 @@ struct ClusterConfig {
 
   /// Per-host trace sink factory. Called once per host at construction;
   /// the returned sink is borrowed (must outlive the cluster) and receives
-  /// the events whose node is that host, from reactor threads — a
-  /// flight-recorder ring per host, or one shared thread-safe JsonlSink
-  /// returned for every id. nullptr results are fine (that host stays
-  /// untraced); unset (default) disables tracing entirely. All hosts
+  /// the events whose node is that host — a flight-recorder ring per
+  /// host, or one shared thread-safe JsonlSink returned for every id. The
+  /// host's reactor writes them, except node_killed (written by the
+  /// driver after the reactor joined) and node_restored (before it
+  /// respawns), so a per-host sink never has two writers at once. nullptr
+  /// results are fine (that host's events reach only the live plane);
+  /// with neither a factory nor `live` the run is untraced. All hosts
   /// share one tracer, so lineage ids are unique across the cluster.
   std::function<obs::TraceSink*(NodeId)> trace_sink_factory;
 
@@ -73,12 +77,15 @@ struct ClusterConfig {
   /// schedule order.
   std::function<void(std::size_t attack_index, SimTime time)> on_attack;
 
-  /// Wall-clock live telemetry: when set, Cluster::run() starts a
-  /// LiveMonitor that samples the hosts' atomic counters every
-  /// live->cadence model seconds, evaluates the shared alert-rule set,
-  /// and writes Prometheus-text snapshots to live->out. node_count is
-  /// filled in from num_hosts automatically.
-  std::optional<LiveMonitorConfig> live;
+  /// Live telemetry: when set, every host is traced and the cluster feeds
+  /// the whole event stream (plus the driver's node_killed, node_restored
+  /// and live_tick events) to one obs::live::LivePlane — the simulation's
+  /// plane, rules and exposition format. node_count is filled in from
+  /// num_hosts automatically.
+  std::optional<obs::live::LiveConfig> live;
+  /// Model seconds between live_tick boundaries (mirrors
+  /// ScenarioConfig::live_cadence); 0 leaves only the final tick.
+  double live_cadence = 1.0;
 };
 
 struct ClusterMetrics {
@@ -127,21 +134,23 @@ class Cluster {
 
   HostRuntime& host(NodeId id) { return *hosts_[id]; }
   const NamingService& naming() const { return naming_; }
-  /// Discovery episodes opened across all hosts (atomic; see
-  /// obs::EpisodeSource).
-  const obs::EpisodeSource& episodes() const { return episodes_; }
-  /// The wall-clock telemetry monitor; nullptr unless ClusterConfig::live
-  /// was set. Valid for introspection after run() returns.
-  LiveMonitor* live() { return live_.get(); }
+  /// The live plane; nullptr unless ClusterConfig::live was set. Read it
+  /// after run() returns (during a run the reactors feed it).
+  obs::live::LivePlane* live() { return live_.get(); }
 
  private:
   /// The cluster tracer's sink: routes each event by its node to the
-  /// factory-provided sink of that host.
+  /// factory-provided sink of that host, and hands every event to the
+  /// live plane (one mutex serializes the reactors and the driver).
   class HostSinkRouter final : public obs::TraceSink {
    public:
     std::vector<obs::TraceSink*> sinks;  // by host id; nullptr = untraced
+    obs::live::LivePlane* live = nullptr;
     void on_event(const obs::TraceEvent& event) override;
     void flush() override;
+
+   private:
+    std::mutex live_mutex_;
   };
 
   ClusterMetrics aggregate(std::uint64_t generated) const;
@@ -157,7 +166,7 @@ class Cluster {
   HostSinkRouter router_;
   obs::Tracer tracer_;
   std::vector<std::unique_ptr<HostRuntime>> hosts_;
-  std::unique_ptr<LiveMonitor> live_;
+  std::unique_ptr<obs::live::LivePlane> live_;
   bool ran_ = false;
 };
 

@@ -163,6 +163,15 @@ void HostRuntime::complete(TaskId task, const Reservation& booked) {
   protocol_->on_status_change(occupancy());
 }
 
+void HostRuntime::trace_decision(obs::EventKind kind, TaskId task,
+                                 std::uint64_t episode) const {
+  if (!tracing()) return;
+  obs::TraceEvent event = trace_event(kind);
+  event.with("task", task);
+  if (kind != obs::EventKind::kTaskAdmitLocal) event.with("episode", episode);
+  trace(event);
+}
+
 void HostRuntime::handle(const Datagram& datagram) {
   obs::ProfileScope scope("agile/handle");
   if (const auto* arrival = std::get_if<TaskArrival>(&datagram.payload)) {
@@ -189,6 +198,7 @@ void HostRuntime::handle_arrival(const TaskArrival& arrival) {
 
   if (const auto reservation = request_admission(arrival.size_seconds)) {
     stats_.admitted_local.fetch_add(1, std::memory_order_relaxed);
+    trace_decision(obs::EventKind::kTaskAdmitLocal, arrival.id);
     naming_.register_component(arrival.id, config_.id);
     schedule_completion(arrival.id, *reservation);
     protocol_->on_status_change(occupancy());
@@ -196,9 +206,13 @@ void HostRuntime::handle_arrival(const TaskArrival& arrival) {
     switch (try_migrate(arrival)) {
       case MigrateStatus::kMigrated:
         stats_.admitted_migrated.fetch_add(1, std::memory_order_relaxed);
+        trace_decision(obs::EventKind::kTaskAdmitMigrated, arrival.id,
+                       protocol_->current_episode());
         break;
       case MigrateStatus::kRejected:
         stats_.rejected.fetch_add(1, std::memory_order_relaxed);
+        trace_decision(obs::EventKind::kTaskRejected, arrival.id,
+                       protocol_->current_episode());
         break;
       case MigrateStatus::kInFlight:
         break;  // resolved by the SpeculativeResult
@@ -224,7 +238,9 @@ HostRuntime::MigrateStatus HostRuntime::try_migrate(
       if (target == config_.id) continue;
       stats_.negotiation_calls.fetch_add(1, std::memory_order_relaxed);
       naming_.register_component(arrival.id, config_.id);
-      speculations_.emplace(arrival.id, std::make_pair(target, fraction));
+      speculations_.emplace(
+          arrival.id,
+          Speculation{target, fraction, protocol_->current_episode()});
       SpeculativeTransfer spec;
       spec.id = arrival.id;
       spec.size_seconds = arrival.size_seconds;
@@ -308,16 +324,21 @@ void HostRuntime::handle_speculative(NodeId from,
 void HostRuntime::handle_speculative_result(const SpeculativeResult& result) {
   const auto it = speculations_.find(result.id);
   if (it == speculations_.end()) return;  // duplicate/stray
-  const auto [target, fraction] = it->second;
+  const Speculation spec = it->second;
   speculations_.erase(it);
   if (result.accepted) {
     stats_.admitted_migrated.fetch_add(1, std::memory_order_relaxed);
+    trace_decision(obs::EventKind::kTaskAdmitMigrated, result.id,
+                   spec.episode);
     stats_.speculative_accepted.fetch_add(1, std::memory_order_relaxed);
-    protocol_->on_migration_result(target, fraction, /*success=*/true);
+    protocol_->on_migration_result(spec.target, spec.fraction,
+                                   /*success=*/true);
   } else {
     stats_.rejected.fetch_add(1, std::memory_order_relaxed);
+    trace_decision(obs::EventKind::kTaskRejected, result.id, spec.episode);
     stats_.speculative_rejected.fetch_add(1, std::memory_order_relaxed);
-    protocol_->on_migration_result(target, fraction, /*success=*/false);
+    protocol_->on_migration_result(spec.target, spec.fraction,
+                                   /*success=*/false);
     naming_.unregister(result.id);  // the component perished with the miss
   }
 }

@@ -129,10 +129,6 @@ class HostRuntime : private proto::Transport {
   /// Current queue occupancy in [0, 1]; thread-safe.
   double occupancy() const;
 
-  /// True while the reactor thread is serving (false between stop() and
-  /// restart()); thread-safe. The live monitor's nodes_alive gauge.
-  bool running() const { return running_.load(std::memory_order_relaxed); }
-
   const HostStats& stats() const { return stats_; }
 
  private:
@@ -162,6 +158,14 @@ class HostRuntime : private proto::Transport {
     return obs::TraceEvent(engine_->now(), config_.id, kind);
   }
   void trace(const obs::TraceEvent& event) const { env_.tracer->emit(event); }
+  /// Traces an admission decision where its HostStats counter is bumped,
+  /// in the simulation's shape: task_admit_migrated and task_rejected
+  /// carry `episode`, the discovery episode current when the migration
+  /// was decided (the key the live plane closes); task_admit_local
+  /// carries none. No lineage id, so critical-path terminals stay the
+  /// protocol's.
+  void trace_decision(obs::EventKind kind, TaskId task,
+                      std::uint64_t episode = 0) const;
 
   HostConfig config_;
   const Clock& clock_;
@@ -179,9 +183,15 @@ class HostRuntime : private proto::Transport {
   // is declared after the engine so it (and its timers) dies first.
   std::unique_ptr<sim::Engine> engine_;
   std::unique_ptr<proto::DiscoveryProtocol> protocol_;
-  /// Outstanding speculative migrations: component -> (target, capacity
-  /// fraction), resolved by SpeculativeResult.
-  std::unordered_map<TaskId, std::pair<NodeId, double>> speculations_;
+  /// An outstanding speculative migration, resolved by SpeculativeResult.
+  struct Speculation {
+    NodeId target = kInvalidNode;
+    double fraction = 0.0;  // capacity fraction of the component
+    /// Discovery episode current at dispatch; arrivals handled before the
+    /// reply may open newer ones.
+    std::uint64_t episode = 0;
+  };
+  std::unordered_map<TaskId, Speculation> speculations_;
 
   HostStats stats_;
   std::thread thread_;

@@ -62,7 +62,9 @@ int terminal_rank(EventKind kind) {
 
 void append_row(std::ostringstream& out, const char* name,
                 const Histogram& h) {
-  char row[192];
+  // Widest row: a 20-column name, a 20-digit count and five 31-char
+  // numbers, each after a space (205 bytes with the terminator).
+  char row[224];
   const OnlineStats& stats = h.stats();
   // Locale-independent doubles; the %12s widths reproduce the historical
   // %12.3f padding byte for byte.

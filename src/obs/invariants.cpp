@@ -59,6 +59,9 @@ class Checker {
       case EventKind::kCommunityExpire:
         on_expire(event);
         break;
+      case EventKind::kNodeRestored:
+        if (event.cold) cold_restored_.insert(event.node);
+        break;
       default:
         break;
     }
@@ -104,27 +107,38 @@ class Checker {
     }
   }
 
+  double grow_step(double prev) const {
+    const double grown = prev + prev * config_.alpha;
+    return grown < config_.help_upper_limit ? grown
+                                            : config_.help_upper_limit;
+  }
+
+  double shrink_step(double prev) const {
+    const double shrunk = prev - prev * config_.beta;
+    return shrunk > config_.help_interval_floor ? shrunk
+                                                : config_.help_interval_floor;
+  }
+
+  bool is_step(double prev, double interval) const {
+    return std::fabs(interval - grow_step(prev)) <= config_.tolerance ||
+           std::fabs(interval - shrink_step(prev)) <= config_.tolerance;
+  }
+
   void on_interval(const SpanEvent& event) {
     if (event.interval < 0.0) return;
     check_bounds(event, event.interval);
     const double prev = tracked_interval(event.node);
-    const double grown = prev + prev * config_.alpha;
-    const double expect_grow =
-        grown < config_.help_upper_limit ? grown : config_.help_upper_limit;
-    const double shrunk = prev - prev * config_.beta;
-    const double expect_shrink =
-        shrunk > config_.help_interval_floor ? shrunk
-                                             : config_.help_interval_floor;
-    const bool is_grow =
-        std::fabs(event.interval - expect_grow) <= config_.tolerance;
-    const bool is_shrink =
-        std::fabs(event.interval - expect_shrink) <= config_.tolerance;
-    if (!is_grow && !is_shrink) {
+    // After a cold restore the first move may also start over from the
+    // initial interval: the restarted node's Algorithm H was rebuilt.
+    const bool restarted = cold_restored_.erase(event.node) > 0 &&
+                           is_step(config_.initial_help_interval,
+                                   event.interval);
+    if (!restarted && !is_step(prev, event.interval)) {
       report("help_interval_step", event,
              format_detail("interval %g from %g is neither the alpha step "
                            "%g nor the beta step %g",
-                           event.interval, prev, expect_grow,
-                           expect_shrink));
+                           event.interval, prev, grow_step(prev),
+                           shrink_step(prev)));
     }
     interval_[event.node] = event.interval;
   }
@@ -190,6 +204,7 @@ class Checker {
   std::map<NodeId, std::set<std::uint64_t>> opened_;
   std::map<NodeId, std::set<NodeId>> pledgers_;
   std::set<std::pair<NodeId, NodeId>> joined_;
+  std::set<NodeId> cold_restored_;  // no interval move since the restore
 };
 
 }  // namespace

@@ -12,7 +12,13 @@
 //   help_interval_step         every interval change is one Fig. 2 move:
 //                              grow by alpha (capped at the upper limit) on
 //                              timeout, or shrink by beta (floored) on
-//                              success — never an arbitrary jump.
+//                              success — never an arbitrary jump. After
+//                              a node_restored marked cold=true (the
+//                              agile cluster rebuilds a restarted host's
+//                              protocol), the node's first move may also
+//                              step from the initial interval; a plain
+//                              restore (the simulation keeps Algorithm H
+//                              across an outage) continues the old walk.
 //   solicited_pledge_threshold a node only answers HELP while below the
 //                              pledge threshold (Fig. 3 first rule), so a
 //                              solicited pledge (episode > 0) must

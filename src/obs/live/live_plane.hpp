@@ -21,9 +21,11 @@
 // pushes per event; the perf_regression obs matrix gates the paired
 // overhead at the flight recorder's <=5% budget.
 //
-// Not thread-safe: one plane per single-threaded simulation run. The
-// threaded agile runtime uses agile::LiveMonitor, which samples atomics
-// on a wall-clock thread and shares this directory's windows and rules.
+// Not thread-safe: one plane per single-threaded simulation run, or one
+// per agile::Cluster run, whose tracer sink serializes the reactor
+// threads and the workload driver on a mutex around on_event(). The
+// cluster's driver emits the live_tick events there, so only the tick
+// timing is wall-clock; every number is still computed from events.
 #pragma once
 
 #include <array>

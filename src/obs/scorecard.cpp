@@ -283,7 +283,9 @@ namespace {
 
 void append_latency_text(std::string& out, const char* label,
                          const Histogram& histogram) {
-  char buf[160];
+  // Widest row: a 24-column label, a 20-digit count and five 31-char
+  // numbers with their prefixes (232 bytes with the terminator).
+  char buf[256];
   const auto& stats = histogram.stats();
   if (stats.count() == 0) {
     std::snprintf(buf, sizeof buf, "  %-24s (no samples)\n", label);

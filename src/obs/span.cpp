@@ -32,6 +32,8 @@ void apply_field(SpanEvent& out, std::string_view key, double number,
     out.cause = static_cast<std::uint64_t>(number);
   } else if (key == "backoff") {
     out.backoff = number;
+  } else if (key == "cold" && is_bool) {
+    out.cold = boolean;
   }
 }
 
@@ -55,8 +57,9 @@ SpanEvent normalize(const TraceEvent& event) {
       default:
         break;
     }
-    apply_field(out, field.key, number, field.b,
-                field.type == TraceField::Type::kBool);
+    // Only a kBool field's `b` is its active union member.
+    const bool is_bool = field.type == TraceField::Type::kBool;
+    apply_field(out, field.key, number, is_bool && field.b, is_bool);
   }
   return out;
 }
@@ -87,6 +90,7 @@ std::vector<SpanEvent> normalize_events(const EventStore& store) {
   const StrId id = store.find_id("id");
   const StrId cause = store.find_id("cause");
   const StrId backoff = store.find_id("backoff");
+  const StrId cold = store.find_id("cold");
 
   std::vector<SpanEvent> out;
   out.reserve(store.size());
@@ -122,6 +126,8 @@ std::vector<SpanEvent> normalize_events(const EventStore& store) {
         span.cause = static_cast<std::uint64_t>(number);
       } else if (field->key == backoff) {
         span.backoff = number;
+      } else if (field->key == cold && field->type == FieldType::kBool) {
+        span.cold = field->boolean;
       }
     }
     out.push_back(span);

@@ -47,6 +47,9 @@ struct SpanEvent {
   double urgency = -1.0;
   /// help_received only: did the receiver pledge?
   bool answered = false;
+  /// node_restored only: the node came back with its protocol state
+  /// rebuilt (a cold restart), not carried across the outage.
+  bool cold = false;
   /// Lineage id of this event ("id" field); 0 = no lineage (untraced
   /// producers or kinds outside the causal message path).
   std::uint64_t lineage = 0;

@@ -5,9 +5,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <unordered_set>
+#include <vector>
 
 #include "agile/cluster.hpp"
 #include "obs/critical_path.hpp"
@@ -272,9 +275,11 @@ INSTANTIATE_TEST_SUITE_P(AllModes, ClusterDiscoveryModes,
                          });
 
 /// Runs `config` traced into one shared JSONL sink, `setup` wall time after
-/// constructing the cluster, and loads the trace back.
+/// constructing the cluster, and loads the trace back. `metrics`, when
+/// given, receives the run's metrics.
 obs::EventStore traced_cluster_run(ClusterConfig config,
-                                   std::chrono::milliseconds setup = {}) {
+                                   std::chrono::milliseconds setup = {},
+                                   ClusterMetrics* metrics = nullptr) {
   std::ostringstream out;
   obs::JsonlSink sink(out);
   config.trace_sink_factory = [&sink](NodeId) -> obs::TraceSink* {
@@ -286,6 +291,7 @@ obs::EventStore traced_cluster_run(ClusterConfig config,
     const ClusterMetrics m = cluster.run();
     EXPECT_GT(m.helps, 0u);
     EXPECT_GT(m.pledges, 0u);
+    if (metrics != nullptr) *metrics = m;
   }
   sink.flush();
   obs::EventStore store;
@@ -347,6 +353,157 @@ TEST(ClusterTrace, SetupBeforeRunDoesNotShiftModelTime) {
       obs::analyze_critical_paths(obs::normalize_events(store));
   EXPECT_GT(analysis.paths.size(), 0u);
   EXPECT_TRUE(obs::check_critical_paths(analysis).empty());
+}
+
+/// small_config with host 1 killed at t=10 and restored at t=20.
+ClusterConfig attacked_config() {
+  ClusterConfig config = small_config(4.0);
+  ClusterConfig::Attack attack;
+  attack.time = 10.0;
+  attack.victim = 1;
+  attack.outage = 10.0;
+  config.attacks = {attack};
+  return config;
+}
+
+TEST(ClusterTrace, DecisionEventsMatchTheCounters) {
+  // Every admission counter bump is traced where it happens, the
+  // speculative path included.
+  for (const bool speculative : {false, true}) {
+    ClusterConfig config = small_config(6.0);
+    config.speculative_migration = speculative;
+    ClusterMetrics m;
+    const obs::EventStore store = traced_cluster_run(config, {}, &m);
+    std::map<obs::EventKind, std::uint64_t> counts;
+    for (std::size_t i = 0; i < store.size(); ++i) {
+      ++counts[store[i].kind_enum()];
+      if (store[i].kind_enum() == obs::EventKind::kTaskAdmitMigrated ||
+          store[i].kind_enum() == obs::EventKind::kTaskRejected) {
+        EXPECT_EQ(store[i].number("id"), 0.0) << "decisions carry no id";
+      }
+    }
+    EXPECT_EQ(counts[obs::EventKind::kTaskAdmitLocal], m.admitted_local);
+    EXPECT_EQ(counts[obs::EventKind::kTaskAdmitMigrated],
+              m.admitted_migrated);
+    EXPECT_EQ(counts[obs::EventKind::kTaskRejected], m.rejected);
+    EXPECT_GT(m.admitted_migrated + m.rejected, 0u);
+  }
+}
+
+TEST(ClusterTrace, KilledHostIsSilentUntilRestored) {
+  // The driver traces node_killed after the victim's reactor joined and
+  // node_restored, marked cold, before it respawns: in stream order no
+  // event of the victim falls between the two.
+  const ClusterConfig config = attacked_config();
+  const obs::EventStore store = traced_cluster_run(config);
+  const NodeId victim = config.attacks[0].victim;
+  int kills = 0;
+  int restores = 0;
+  bool down = false;
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    if (store[i].node() != victim) continue;
+    const obs::EventKind kind = store[i].kind_enum();
+    if (kind == obs::EventKind::kNodeKilled) {
+      ++kills;
+      down = true;
+    } else if (kind == obs::EventKind::kNodeRestored) {
+      ++restores;
+      EXPECT_TRUE(down);
+      down = false;
+      // restart() rebuilds the host's protocol: the restore is cold.
+      const obs::StoredField* cold = store[i].find("cold");
+      ASSERT_NE(cold, nullptr);
+      EXPECT_EQ(cold->type, obs::FieldType::kBool);
+      EXPECT_TRUE(cold->boolean);
+    } else {
+      EXPECT_FALSE(down) << to_string(kind) << " at t=" << store[i].time()
+                         << " from a killed host";
+    }
+  }
+  EXPECT_EQ(kills, 1);
+  EXPECT_EQ(restores, 1);
+}
+
+/// One exposition snapshot: its header time and its unlabelled samples.
+struct LiveSnapshot {
+  double time = 0.0;
+  bool final_tick = false;
+  std::map<std::string, double> values;
+};
+
+std::vector<LiveSnapshot> parse_exposition(const std::string& text) {
+  std::vector<LiveSnapshot> out;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# realtor_live snapshot ", 0) == 0) {
+      LiveSnapshot snapshot;
+      const std::size_t t = line.find(" t=");
+      snapshot.time = std::stod(line.substr(t + 3));
+      snapshot.final_tick = line.find(" final") != std::string::npos;
+      out.push_back(snapshot);
+    } else if (!out.empty() && !line.empty() &&
+               line.find('{') == std::string::npos) {
+      const std::size_t space = line.find(' ');
+      out.back().values[line.substr(0, space)] =
+          std::stod(line.substr(space + 1));
+    }
+  }
+  return out;
+}
+
+/// Runs the attacked config with the live plane on (no trace factory) and
+/// returns the parsed snapshot history.
+std::vector<LiveSnapshot> live_cluster_run(ClusterMetrics* metrics) {
+  ClusterConfig config = attacked_config();
+  config.live.emplace();
+  config.live_cadence = 5.0;
+  Cluster cluster(config);
+  *metrics = cluster.run();
+  EXPECT_TRUE(cluster.live()->ok()) << cluster.live()->error();
+  return parse_exposition(cluster.live()->exposition());
+}
+
+TEST(ClusterLive, FinalSnapshotCountsEveryDecision) {
+  ClusterMetrics m;
+  const std::vector<LiveSnapshot> snapshots = live_cluster_run(&m);
+  ASSERT_FALSE(snapshots.empty());
+  const LiveSnapshot& last = snapshots.back();
+  EXPECT_TRUE(last.final_tick);
+  EXPECT_GT(m.arrivals_processed, 0u);
+  EXPECT_EQ(last.values.at("realtor_live_decisions_total"),
+            static_cast<double>(m.admitted_total() + m.rejected));
+}
+
+TEST(ClusterLive, NodesAliveFollowsKillAndRestore) {
+  ClusterMetrics m;
+  const std::vector<LiveSnapshot> snapshots = live_cluster_run(&m);
+  EXPECT_EQ(m.hosts_killed, 1u);
+  EXPECT_EQ(m.hosts_restored, 1u);
+  // Ticks every 5 model seconds up to the end (30 + 5 drain), then the
+  // final one.
+  ASSERT_EQ(snapshots.size(), 7u);
+  const double hosts = 4.0;
+  for (const LiveSnapshot& snapshot : snapshots) {
+    EXPECT_EQ(snapshot.values.at("realtor_live_nodes_total"), hosts);
+    const double alive = snapshot.values.at("realtor_live_nodes_alive");
+    if (snapshot.time > 10.0 && snapshot.time < 20.0) {
+      EXPECT_EQ(alive, hosts - 1.0) << "inside the outage, t=" << snapshot.time;
+    } else if (snapshot.time < 10.0 || snapshot.time > 20.0) {
+      EXPECT_EQ(alive, hosts) << "t=" << snapshot.time;
+    }
+  }
+  EXPECT_EQ(snapshots.back().values.at("realtor_live_nodes_alive"), hosts);
+}
+
+TEST(ClusterLive, BadAlertSpecIsReported) {
+  ClusterConfig config = small_config(1.0);
+  config.live.emplace();
+  config.live->rules = {"admission_low:no_such_signal<0.9"};
+  Cluster cluster(config);
+  ASSERT_NE(cluster.live(), nullptr);
+  EXPECT_FALSE(cluster.live()->ok());
+  EXPECT_FALSE(cluster.live()->error().empty());
 }
 
 TEST(ClusterRun, TwentyHostPaperScaleRuns) {

@@ -93,29 +93,37 @@ void* operator new[](std::size_t size, std::align_val_t align,
   return ::operator new(size, align, tag);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+namespace {
+// Kept out of line: GCC 12 reports -Wmismatched-new-delete when it inlines
+// a bare free() into a caller that also sees the matching operator new,
+// although every operator new above allocates with malloc or
+// posix_memalign.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  release(p);
 }
 void operator delete(void* p, std::align_val_t,
                      const std::nothrow_t&) noexcept {
-  std::free(p);
+  release(p);
 }
 void operator delete[](void* p, std::align_val_t,
                        const std::nothrow_t&) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace realtor::obs {
@@ -248,9 +256,11 @@ TEST(EventStoreRoundTrip, RandomizedSinkOutputParsesIdentically) {
   for (int i = 0; i < 600; ++i) {
     const auto kind = static_cast<EventKind>(
         rng() % static_cast<std::uint32_t>(EventKind::kCount));
-    const NodeId node = (rng() % 8 == 0) ? kInvalidNode : rng() % 10000;
+    const NodeId node =
+        (rng() % 8 == 0) ? kInvalidNode : static_cast<NodeId>(rng() % 10000);
     TraceEvent event(time_dist(rng), node, kind);
-    const std::uint32_t fields = rng() % (kMaxTraceFields + 1);
+    const auto fields =
+        static_cast<std::uint32_t>(rng() % (kMaxTraceFields + 1));
     for (std::uint32_t f = 0; f < fields; ++f) {
       const char* key = kKeys[rng() % (sizeof kKeys / sizeof *kKeys)];
       switch (rng() % 4) {
@@ -309,7 +319,8 @@ TEST(EventStoreSharding, JobCountNeverChangesTheStore) {
       if (first_malformed == 0) first_malformed = nonempty;
       continue;
     }
-    TraceEvent event(static_cast<double>(nonempty), rng() % 4000,
+    TraceEvent event(static_cast<double>(nonempty),
+                     static_cast<NodeId>(rng() % 4000),
                      EventKind::kNodeSample);
     event.with("cpu", static_cast<double>(rng() % 1000) / 1000.0);
     if (rng() % 3 == 0) {
@@ -534,7 +545,8 @@ TEST(EventStoreFlight, TruncatedDumpSalvagesLikeLegacyReader) {
   FlightRecorder recorder(/*capacity_per_ring=*/64);
   FlightRing& ring = recorder.ring(0);
   for (int i = 0; i < 40; ++i) {
-    ring.on_event(TraceEvent(static_cast<double>(i), i % 5,
+    ring.on_event(TraceEvent(static_cast<double>(i),
+                             static_cast<NodeId>(i % 5),
                              EventKind::kNodeSample)
                       .with("cpu", 0.25)
                       .with("tag", "steady"));

@@ -112,6 +112,65 @@ TEST(Invariants, AcceptsLegalIntervalWalk) {
   EXPECT_TRUE(check_invariants(events).empty());
 }
 
+/// Node 4 walks 1 -> 2 -> 4 -> 8, is restored (cold or not), then moves
+/// to `after`.
+std::vector<SpanEvent> restored_walk(double after, bool cold) {
+  std::vector<SpanEvent> events;
+  double t = 1.0;
+  for (const double interval : {2.0, 4.0, 8.0}) {
+    SpanEvent event = make(t++, 4, EventKind::kHelpInterval);
+    event.interval = interval;
+    events.push_back(event);
+  }
+  SpanEvent restore = make(t++, 4, EventKind::kNodeRestored);
+  restore.cold = cold;
+  events.push_back(restore);
+  SpanEvent event = make(t, 4, EventKind::kHelpInterval);
+  event.interval = after;
+  events.push_back(event);
+  return events;
+}
+
+TEST(Invariants, WarmRestoreContinuesItsInterval) {
+  // The simulation keeps Algorithm H across an outage: from 8 the legal
+  // moves are 16 and 4, and starting over from the initial interval is a
+  // jump.
+  for (const double after : {16.0, 4.0}) {
+    EXPECT_TRUE(check_invariants(restored_walk(after, false)).empty())
+        << after;
+  }
+  for (const double after : {2.0, 0.5}) {
+    const auto violations = check_invariants(restored_walk(after, false));
+    ASSERT_EQ(violations.size(), 1u) << after;
+    EXPECT_EQ(std::string(violations.front().invariant),
+              "help_interval_step");
+  }
+}
+
+TEST(Invariants, ColdRestoreMayRestartItsInterval) {
+  // A cold restore rebuilt the node's protocol: its first move may step
+  // from the initial 1 (to 2 or 0.5) as well as continue from 8.
+  for (const double after : {16.0, 4.0, 2.0, 0.5}) {
+    EXPECT_TRUE(check_invariants(restored_walk(after, true)).empty())
+        << after;
+  }
+}
+
+TEST(Invariants, FlagsArbitraryIntervalJumpAfterColdRestore) {
+  const auto violations = check_invariants(restored_walk(3.7, true));
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(std::string(violations.front().invariant), "help_interval_step");
+
+  // Only the first move after the restore may start over.
+  std::vector<SpanEvent> events = restored_walk(2.0, true);
+  SpanEvent again = make(10.0, 4, EventKind::kHelpInterval);
+  again.interval = 2.0;  // from 2.0 the legal moves are 4.0 and 1.0
+  events.push_back(again);
+  const auto later = check_invariants(events);
+  ASSERT_EQ(later.size(), 1u);
+  EXPECT_EQ(later.front().time, 10.0);
+}
+
 TEST(Invariants, FlagsSolicitedPledgeFromOverloadedSender) {
   SpanEvent event = make(2.0, 7, EventKind::kPledgeSent);
   event.episode = 4;

@@ -62,7 +62,8 @@ TEST(SlidingWindow, RateUsesElapsedBeforeFullSpan) {
   EXPECT_DOUBLE_EQ(window.rate(10.0), 0.5);
   // After a full span has elapsed the denominator is the span.
   window.advance(31.0);
-  EXPECT_DOUBLE_EQ(window.rate(31.0), window.snapshot().count / 30.0);
+  EXPECT_DOUBLE_EQ(window.rate(31.0),
+                   static_cast<double>(window.snapshot().count) / 30.0);
 }
 
 TEST(SlidingWindow, QuantileRollsUpAcrossBuckets) {

@@ -87,6 +87,22 @@ TEST(SpanNormalize, JsonlRoundTripMatchesLiveEvent) {
   EXPECT_DOUBLE_EQ(from_jsonl.urgency, live.urgency);
 }
 
+TEST(SpanNormalize, ColdRestoreMarkSurvivesBothPaths) {
+  const TraceEvent cold = TraceEvent(5.0, 2, EventKind::kNodeRestored)
+                              .with("cold", true);
+  const TraceEvent warm(6.0, 2, EventKind::kNodeRestored);
+  EXPECT_TRUE(normalize(cold).cold);
+  EXPECT_FALSE(normalize(warm).cold);
+  EventStore store;
+  IngestStats stats;
+  ASSERT_TRUE(load_trace_buffer(
+      format_jsonl(cold) + "\n" + format_jsonl(warm) + "\n", store, stats));
+  const std::vector<SpanEvent> spans = normalize_events(store);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_TRUE(spans[0].cold);
+  EXPECT_FALSE(spans[1].cold);
+}
+
 // The tentpole's core property: every solicited PLEDGE echoes the episode
 // of a HELP its receiver actually flooded, and HELP episodes are fresh
 // ids, strictly increasing per node.

@@ -29,7 +29,7 @@
 //                                          # 10 sim s) boundary; "-" /
 //                                          # "fd:3" stream to stdout / an
 //                                          # inherited descriptor
-//   realtor_sim --live-metrics=live.prom \
+//   realtor_sim --live-metrics=live.prom
 //     --alert="p99:episode_p99>5/60,storm:help_rate>3x/30"
 //                                          # custom alert rules (comma
 //                                          # list; see obs/live/rules.hpp
@@ -51,7 +51,7 @@
 //                                          # once, points finish in forked
 //                                          # COW children (Linux; output
 //                                          # byte-identical to --exec=thread)
-//   realtor_sim --sweep=6 \
+//   realtor_sim --sweep=6
 //     --attack-sweep="150:5:1:60;150:10:1:60;150:20:1:60"
 //                                          # sweep attack schedules too:
 //                                          # ';'-separated sets, each a

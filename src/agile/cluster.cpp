@@ -1,6 +1,7 @@
 #include "agile/cluster.hpp"
 
 #include <algorithm>
+#include <latch>
 #include <thread>
 
 #include "common/assert.hpp"
@@ -170,17 +171,16 @@ ClusterMetrics Cluster::run() {
     }
   };
 
-  // Each host's engine starts at the clock's reading, so re-base the clock
-  // first: setup since construction (trace rings, the workload) must not
-  // put the engines ahead of model time.
-  clock_.reset_epoch();
+  // Every engine starts at model time 0 and every reactor waits at the
+  // gate, so the epoch is set once, after the spawns: neither the setup
+  // since construction (trace rings, the workload) nor thread spawn
+  // latency puts an engine ahead of model time.
+  std::latch gate(1);
   for (auto& host : hosts_) {
-    host->start();
+    host->start(&gate);
   }
-  // Reactors are up; re-base model time so thread spawn latency does not
-  // consume the experiment timeline. The engines' clamp absorbs this one
-  // small step back.
   clock_.reset_epoch();
+  gate.count_down();
 
   for (const sim::Arrival& arrival : trace) {
     apply_events_until(arrival.time);

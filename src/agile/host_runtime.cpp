@@ -32,14 +32,14 @@ HostRuntime::HostRuntime(const HostConfig& config, const Clock& clock,
 
 HostRuntime::~HostRuntime() { stop(); }
 
-void HostRuntime::start() {
+void HostRuntime::start(std::latch* gate) {
   if (running_.exchange(true)) return;
-  // A new incarnation: the engine starts at the current model time so
-  // periodic protocols do not replay the ticks of an outage. Built here,
+  // A new incarnation: a restarted engine starts at the current model time
+  // so periodic protocols do not replay the ticks of an outage. Built here,
   // before the reactor spawns, it is reactor-confined from then on.
   protocol_.reset();
   engine_ = std::make_unique<sim::Engine>();
-  engine_->run_until(clock_.now());
+  if (gate == nullptr) engine_->run_until(clock_.now());
   speculations_.clear();
   proto::ProtocolEnv env = env_;
   env.engine = engine_.get();
@@ -48,7 +48,10 @@ void HostRuntime::start() {
   protocol_ = proto::make_protocol(config_.discovery, config_.id,
                                    config_.protocol, std::move(env));
   protocol_->start();
-  thread_ = std::thread([this] { reactor(); });
+  thread_ = std::thread([this, gate] {
+    if (gate != nullptr) gate->wait();
+    reactor();
+  });
 }
 
 void HostRuntime::stop() {
@@ -102,10 +105,8 @@ void HostRuntime::reactor() {
     const SimTime next = engine_->next_event_time();
     if (next != kNeverTime) wake = std::min(wake, clock_.wall_at(next));
     auto datagram = inbox.pop_until(wake);
-    // Fire due timers and bring the engine up to the clock. The clock
-    // steps backwards once (Cluster::run re-bases it after the reactors
-    // spawn); the engine's time must not, hence the clamp.
-    engine_->run_until(std::max(engine_->now(), clock_.now()));
+    // Fire due timers and bring the engine up to the clock.
+    engine_->run_until(clock_.now());
     if (datagram) {
       handle(*datagram);
     } else if (inbox.closed() ||

@@ -9,10 +9,10 @@
 // H timeouts, periodic adverts and gossip rounds (sim::Timer,
 // sim::PeriodicProcess) and pending task completions are all engine
 // events. Before it handles a datagram the reactor advances the engine to
-// max(engine.now(), clock.now()), then sleeps until the engine's next
-// event time or the next datagram. The clamp matters once: Cluster::run()
-// re-bases the clock again after the reactors spawn, so model time steps
-// back by the spawn latency, and the engine's time never may.
+// clock.now(), then sleeps until the engine's next event time or the next
+// datagram. Cluster::run() starts every engine at model time 0 and holds
+// the reactors at a start gate until it has set the clock's epoch, so no
+// engine ever runs ahead of the clock.
 //
 // Threading model (guides CP.2/CP.3): the engine, the protocol and all its
 // soft state are confined to the reactor thread. start() builds them
@@ -25,6 +25,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -110,7 +111,12 @@ class HostRuntime : private proto::Transport {
   HostRuntime(const HostRuntime&) = delete;
   HostRuntime& operator=(const HostRuntime&) = delete;
 
-  void start();
+  /// Builds a new incarnation and spawns its reactor. With a `gate` the
+  /// engine starts at model time 0 and the reactor waits on the gate
+  /// before it first advances the engine; Cluster::run() opens it once
+  /// the clock's epoch is set. Without one the engine starts at the
+  /// clock's current reading.
+  void start(std::latch* gate = nullptr);
   void stop();
 
   /// Restarts a stopped host with cold state (recovery after an attack

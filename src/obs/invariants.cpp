@@ -218,11 +218,6 @@ std::vector<Violation> check_invariants(const std::vector<SpanEvent>& events,
   return checker.take();
 }
 
-std::vector<Violation> check_invariants(const std::vector<TraceEvent>& events,
-                                        const InvariantConfig& config) {
-  return check_invariants(normalize_events(events), config);
-}
-
 std::vector<Violation> check_invariants(const EventStore& store,
                                         const InvariantConfig& config) {
   return check_invariants(normalize_events(store), config);

@@ -78,9 +78,7 @@ struct Violation {
 std::vector<Violation> check_invariants(const std::vector<SpanEvent>& events,
                                         const InvariantConfig& config = {});
 
-/// Convenience overloads that normalize first.
-std::vector<Violation> check_invariants(const std::vector<TraceEvent>& events,
-                                        const InvariantConfig& config = {});
+/// Convenience overload that normalizes first.
 std::vector<Violation> check_invariants(const EventStore& store,
                                         const InvariantConfig& config = {});
 

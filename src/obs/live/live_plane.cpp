@@ -415,7 +415,8 @@ void LivePlane::render_snapshot(std::string& out, SimTime now,
 void LivePlane::write_snapshot(SimTime now, bool final_tick) {
   if (!has_output_) {
     // No exposition target: still maintain the in-memory history so
-    // embedders (tests, the agile monitor) can read exposition().
+    // embedders (tests, directly or through agile::Cluster::live()) can
+    // read exposition().
     render_snapshot(text_, now, final_tick);
     return;
   }

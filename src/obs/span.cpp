@@ -1,81 +1,11 @@
 #include "obs/span.hpp"
 
-#include <algorithm>
-#include <cstring>
 #include <map>
 
 namespace realtor::obs {
-namespace {
-
-bool is_peer_key(std::string_view key) {
-  return key == "origin" || key == "organizer" || key == "pledger" ||
-         key == "target";
-}
-
-void apply_field(SpanEvent& out, std::string_view key, double number,
-                 bool boolean, bool is_bool) {
-  if (key == "episode") {
-    out.episode = static_cast<std::uint64_t>(number);
-  } else if (is_peer_key(key)) {
-    out.peer = static_cast<NodeId>(number);
-  } else if (key == "availability") {
-    out.availability = number;
-  } else if (key == "interval") {
-    out.interval = number;
-  } else if (key == "urgency") {
-    out.urgency = number;
-  } else if (key == "answered" && is_bool) {
-    out.answered = boolean;
-  } else if (key == "id") {
-    out.lineage = static_cast<std::uint64_t>(number);
-  } else if (key == "cause") {
-    out.cause = static_cast<std::uint64_t>(number);
-  } else if (key == "backoff") {
-    out.backoff = number;
-  } else if (key == "cold" && is_bool) {
-    out.cold = boolean;
-  }
-}
-
-}  // namespace
-
-SpanEvent normalize(const TraceEvent& event) {
-  SpanEvent out;
-  out.time = event.time;
-  out.node = event.node;
-  out.kind = event.kind;
-  for (std::uint32_t i = 0; i < event.field_count; ++i) {
-    const TraceField& field = event.fields[i];
-    double number = 0.0;
-    switch (field.type) {
-      case TraceField::Type::kUint:
-        number = static_cast<double>(field.u);
-        break;
-      case TraceField::Type::kDouble:
-        number = field.d;
-        break;
-      default:
-        break;
-    }
-    // Only a kBool field's `b` is its active union member.
-    const bool is_bool = field.type == TraceField::Type::kBool;
-    apply_field(out, field.key, number, is_bool && field.b, is_bool);
-  }
-  return out;
-}
-
-std::vector<SpanEvent> normalize_events(
-    const std::vector<TraceEvent>& events) {
-  std::vector<SpanEvent> out;
-  out.reserve(events.size());
-  for (const TraceEvent& event : events) {
-    out.push_back(normalize(event));
-  }
-  return out;
-}
 
 std::vector<SpanEvent> normalize_events(const EventStore& store) {
-  // The keys apply_field() dispatches on, resolved to interned ids once.
+  // The payload keys a SpanEvent lifts, resolved to interned ids once.
   // Keys the trace never used resolve to kNoStrId, which no stored field
   // carries.
   const StrId episode = store.find_id("episode");

@@ -11,8 +11,9 @@
 // to the first usable PLEDGE, and time from the HELP to the migration it
 // enabled.
 //
-// Works from live TraceEvents (MemorySink, in tests) and from a loaded
-// EventStore (JSONL trace or flight dump, realtor_trace).
+// One reduction, from a loaded EventStore (JSONL trace or flight dump,
+// realtor_trace). Tests that record into a MemorySink render the events
+// with append_jsonl and load them with load_trace_buffer, the same path.
 #pragma once
 
 #include <cstdint>
@@ -25,10 +26,9 @@
 
 namespace realtor::obs {
 
-/// One trace record reduced to the fields span/invariant analysis needs,
-/// identical whichever representation it came from. Absent numeric fields
-/// read as the documented sentinels, so checks never confuse "missing"
-/// with a real 0.
+/// One trace record reduced to the fields span/invariant analysis needs.
+/// Absent numeric fields read as the documented sentinels, so checks never
+/// confuse "missing" with a real 0.
 struct SpanEvent {
   SimTime time = 0.0;
   NodeId node = kInvalidNode;
@@ -62,15 +62,10 @@ struct SpanEvent {
   double backoff = -1.0;
 };
 
-/// Reduces a live trace record. Every kind normalizes (unknown payload
-/// keys are simply ignored).
-SpanEvent normalize(const TraceEvent& event);
-
-std::vector<SpanEvent> normalize_events(const std::vector<TraceEvent>& events);
-/// Store-based reduction: payload keys are looked up once as interned ids
-/// and kinds come from the interner's cached EventKind — no per-event
-/// string comparisons. Records of unknown kinds are skipped, not treated
-/// as data.
+/// Reduces every record of `store`: payload keys are looked up once as
+/// interned ids and kinds come from the interner's cached EventKind — no
+/// per-event string comparisons. Unknown payload keys are ignored, and
+/// records of unknown kinds are skipped, not treated as data.
 std::vector<SpanEvent> normalize_events(const EventStore& store);
 
 /// One reconstructed discovery episode.

@@ -333,10 +333,10 @@ TEST(ClusterTrace, LineageIdsAreUniqueAcrossHosts) {
 }
 
 TEST(ClusterTrace, SetupBeforeRunDoesNotShiftModelTime) {
-  // Host engines start at the clock's reading. Wall time spent between
-  // constructing the cluster and run() (trace rings, the workload) must not
-  // start them ahead of model time: early events would be stamped late and
-  // lineage edges between hosts would run backward.
+  // Wall time spent between constructing the cluster and run() (trace
+  // rings, the workload) must not start a host's engine ahead of model
+  // time: early events would be stamped late and lineage edges between
+  // hosts would run backward.
   ClusterConfig config = small_config(6.0);
   config.model_duration = 20.0;
   const auto setup = std::chrono::milliseconds(30);  // 10 model seconds

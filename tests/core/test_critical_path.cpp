@@ -11,6 +11,7 @@
 #include "obs/critical_path.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
+#include "span_events.hpp"
 
 namespace realtor::obs {
 namespace {
@@ -140,7 +141,7 @@ std::vector<SpanEvent> run_traced(const ScenarioConfig& config) {
   MemorySink sink;
   sim.set_trace_sink(&sink);
   sim.run();
-  return normalize_events(sink.events());
+  return spans_of(sink.events());
 }
 
 TEST(CriticalPath, RealRunPhasesSumToEpisodeLatency) {

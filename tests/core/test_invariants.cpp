@@ -11,6 +11,7 @@
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "proto/factory.hpp"
+#include "span_events.hpp"
 
 namespace realtor::obs {
 namespace {
@@ -57,7 +58,7 @@ TEST(Invariants, CleanOnAllSixProtocolsUnderAttack) {
     sim.set_trace_sink(&sink);
     sim.run();
     const std::vector<Violation> violations =
-        check_invariants(sink.events());
+        check_invariants(spans_of(sink.events()));
     EXPECT_TRUE(violations.empty())
         << proto::to_string(kind) << ": first violation "
         << violations.front().invariant << " at t=" << violations.front().time

@@ -14,6 +14,7 @@
 #include "obs/perfetto.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
+#include "span_events.hpp"
 
 namespace realtor::obs {
 namespace {
@@ -30,7 +31,7 @@ std::vector<SpanEvent> run_traced(std::uint32_t seed) {
   MemorySink sink;
   sim.set_trace_sink(&sink);
   sim.run();
-  return normalize_events(sink.events());
+  return spans_of(sink.events());
 }
 
 /// Every flow arrow must resolve: each "f" needs an "s" with its id, and

@@ -11,6 +11,7 @@
 #include "obs/jsonl_sink.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
+#include "span_events.hpp"
 
 namespace realtor::obs {
 namespace {
@@ -34,7 +35,7 @@ std::vector<SpanEvent> run_traced(ScenarioConfig config) {
   MemorySink sink;
   sim.set_trace_sink(&sink);
   sim.run();
-  return normalize_events(sink.events());
+  return spans_of(sink.events());
 }
 
 TEST(EpisodeSource, IdsStartAtOneAndIncrease) {
@@ -51,7 +52,9 @@ TEST(SpanNormalize, LiftsTypedFieldsFromTraceEvent) {
       .with("availability", 0.625)
       .with("grant_probability", 0.5)
       .with("episode", std::uint64_t{17});
-  const SpanEvent span = normalize(event);
+  const std::vector<SpanEvent> spans = spans_of({event});
+  ASSERT_EQ(spans.size(), 1u);
+  const SpanEvent& span = spans[0];
   EXPECT_DOUBLE_EQ(span.time, 4.5);
   EXPECT_EQ(span.node, 3u);
   EXPECT_EQ(span.kind, EventKind::kPledgeSent);
@@ -60,6 +63,10 @@ TEST(SpanNormalize, LiftsTypedFieldsFromTraceEvent) {
   EXPECT_EQ(span.episode, 17u);
   EXPECT_DOUBLE_EQ(span.interval, -1.0);  // absent sentinel
   EXPECT_DOUBLE_EQ(span.urgency, -1.0);
+  EXPECT_DOUBLE_EQ(span.backoff, -1.0);
+  EXPECT_EQ(span.lineage, 0u);
+  EXPECT_EQ(span.cause, 0u);
+  EXPECT_FALSE(span.answered);
 }
 
 TEST(SpanNormalize, JsonlRoundTripMatchesLiveEvent) {
@@ -67,7 +74,9 @@ TEST(SpanNormalize, JsonlRoundTripMatchesLiveEvent) {
   event.with("origin", 1)
       .with("urgency", 0.75)
       .with("answered", true)
-      .with("episode", std::uint64_t{3});
+      .with("episode", std::uint64_t{3})
+      .with("id", std::uint64_t{41})
+      .with("cause", std::uint64_t{40});
   EventStore store;
   IngestStats stats;
   ASSERT_TRUE(load_trace_buffer(
@@ -78,29 +87,37 @@ TEST(SpanNormalize, JsonlRoundTripMatchesLiveEvent) {
   const std::vector<SpanEvent> spans = normalize_events(store);
   // A record of an unknown kind is skipped, not treated as data.
   ASSERT_EQ(spans.size(), 1u);
-  const SpanEvent& from_jsonl = spans[0];
-  const SpanEvent live = normalize(event);
-  EXPECT_EQ(from_jsonl.kind, live.kind);
-  EXPECT_EQ(from_jsonl.peer, live.peer);
-  EXPECT_EQ(from_jsonl.episode, live.episode);
-  EXPECT_EQ(from_jsonl.answered, live.answered);
-  EXPECT_DOUBLE_EQ(from_jsonl.urgency, live.urgency);
+  const SpanEvent& span = spans[0];
+  EXPECT_DOUBLE_EQ(span.time, 2.0);
+  EXPECT_EQ(span.node, 6u);
+  EXPECT_EQ(span.kind, EventKind::kHelpReceived);
+  EXPECT_EQ(span.peer, 1u);
+  EXPECT_EQ(span.episode, 3u);
+  EXPECT_TRUE(span.answered);
+  EXPECT_DOUBLE_EQ(span.urgency, 0.75);
+  EXPECT_EQ(span.lineage, 41u);
+  EXPECT_EQ(span.cause, 40u);
 }
 
 TEST(SpanNormalize, ColdRestoreMarkSurvivesBothPaths) {
+  // A recorded event and a hand-written line carry the mark alike.
   const TraceEvent cold = TraceEvent(5.0, 2, EventKind::kNodeRestored)
                               .with("cold", true);
   const TraceEvent warm(6.0, 2, EventKind::kNodeRestored);
-  EXPECT_TRUE(normalize(cold).cold);
-  EXPECT_FALSE(normalize(warm).cold);
+  const std::vector<SpanEvent> recorded = spans_of({cold, warm});
+  ASSERT_EQ(recorded.size(), 2u);
+  EXPECT_TRUE(recorded[0].cold);
+  EXPECT_FALSE(recorded[1].cold);
   EventStore store;
   IngestStats stats;
   ASSERT_TRUE(load_trace_buffer(
-      format_jsonl(cold) + "\n" + format_jsonl(warm) + "\n", store, stats));
-  const std::vector<SpanEvent> spans = normalize_events(store);
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_TRUE(spans[0].cold);
-  EXPECT_FALSE(spans[1].cold);
+      "{\"t\":5,\"node\":2,\"kind\":\"node_restored\",\"cold\":true}\n"
+      "{\"t\":6,\"node\":2,\"kind\":\"node_restored\",\"cold\":1}\n",
+      store, stats));
+  const std::vector<SpanEvent> written = normalize_events(store);
+  ASSERT_EQ(written.size(), 2u);
+  EXPECT_TRUE(written[0].cold);
+  EXPECT_FALSE(written[1].cold);  // only a JSON boolean marks a cold restore
 }
 
 // The tentpole's core property: every solicited PLEDGE echoes the episode

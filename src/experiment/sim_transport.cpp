@@ -22,7 +22,7 @@ SimTransport::SimTransport(sim::Engine& engine, const net::Topology& topology,
       ledger_(ledger),
       delay_(delay),
       deliver_(std::move(deliver)),
-      paths_(topology) {
+      paths_(cost_model.paths()) {
   REALTOR_ASSERT(delay_ >= 0.0);
   REALTOR_ASSERT(static_cast<bool>(deliver_));
 }
@@ -155,9 +155,8 @@ void SimTransport::unicast(NodeId from, NodeId to, const proto::Message& msg) {
   // Record-and-drop: a unicast between alive endpoints in different
   // partitions of the alive subgraph is charged (the sender pays for the
   // attempt) but the message dies at the partition edge instead of
-  // teleporting across it. connected() short-circuits the per-pair check
-  // whenever the alive subgraph has no partitions at all.
-  if (topology_.alive(from) && topology_.alive(to) && !paths_.connected() &&
+  // teleporting across it.
+  if (topology_.alive(from) && topology_.alive(to) &&
       !paths_.reachable(from, to)) {
     ++dropped_unreachable_;
     if (tracer_ != nullptr && tracer_->active()) {

@@ -135,7 +135,8 @@ class SimTransport final : public proto::Transport {
   DeliveryMode mode_ = DeliveryMode::kAuto;
   std::uint64_t payload_allocations_ = 0;
   std::uint64_t dropped_unreachable_ = 0;
-  mutable net::ShortestPaths paths_;
+  /// Borrowed from the cost model: one path cache per simulation.
+  const net::ShortestPaths& paths_;
 };
 
 }  // namespace realtor::experiment

@@ -41,8 +41,10 @@ class CostModel {
   CostMode mode() const { return mode_; }
   FloodMode flood_mode() const { return flood_mode_; }
 
-  /// Recomputes cached paths if node liveness changed.
-  void refresh_if_stale() const;
+  /// The simulation's one shortest-path table. The transport borrows it
+  /// for flood rows and partition checks, so every layer shares one
+  /// cache and one set of search scratch arrays.
+  const ShortestPaths& paths() const { return paths_; }
 
   /// Opt-in sampled average-path/diameter estimation for large topologies
   /// (forwarded to ShortestPaths::set_sampled_stats). Paper-config runs

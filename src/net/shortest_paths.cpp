@@ -20,7 +20,7 @@ void ShortestPaths::sync() const {
   }
   rows_.clear();
   stats_valid_ = false;
-  connected_valid_ = false;
+  components_valid_ = false;
   version_ = topology_.version();
 }
 
@@ -72,32 +72,101 @@ const std::vector<std::uint32_t>& ShortestPaths::row_for(NodeId src) const {
 std::uint32_t ShortestPaths::hops(NodeId from, NodeId to) const {
   REALTOR_ASSERT(from < topology_.num_nodes());
   REALTOR_ASSERT(to < topology_.num_nodes());
-  return row_for(from)[to];
+  if (!topology_.alive(from) || !topology_.alive(to)) return kUnreachable;
+  if (from == to) return 0;
+  sync();
+  // The graph is undirected, so either endpoint's cached row holds the
+  // answer.
+  if (const auto it = rows_.find(from); it != rows_.end()) {
+    return it->second[to];
+  }
+  if (const auto it = rows_.find(to); it != rows_.end()) {
+    return it->second[from];
+  }
+  return point_search(from, to);
+}
+
+std::uint32_t ShortestPaths::point_search(NodeId from, NodeId to) const {
+  obs::ProfileScope scope("net/shortest_paths_bfs");
+  const NodeId n = topology_.num_nodes();
+  if (++epoch_ == 0 || marks_[0].size() != n) {
+    // First search or a wrapped epoch: every old mark must read as
+    // unvisited again.
+    for (std::vector<std::uint32_t>& side : marks_) side.assign(n, 0);
+    epoch_ = 1;
+  }
+  const std::uint32_t epoch = epoch_;
+  std::vector<NodeId>* const frontiers[2] = {&frontier_, &back_frontier_};
+  std::uint32_t depths[2] = {0, 0};
+  marks_[0][from] = epoch;
+  marks_[1][to] = epoch;
+  frontier_.assign(1, from);
+  back_frontier_.assign(1, to);
+  while (!frontier_.empty() && !back_frontier_.empty()) {
+    // Expand the smaller frontier by one whole level.
+    const int side = back_frontier_.size() < frontier_.size() ? 1 : 0;
+    std::uint32_t* const mine = marks_[side].data();
+    const std::uint32_t* const theirs = marks_[1 - side].data();
+    const std::uint32_t depth = ++depths[side];
+    next_frontier_.clear();
+    for (const NodeId u : *frontiers[side]) {
+      for (const NodeId v : topology_.neighbors(u)) {
+        if (!topology_.alive(v)) continue;
+        // The first touch is a shortest path, and `v` lies on the other
+        // side's last level: no node was marked by both sides before this
+        // level, so every node the other side reached earlier has all its
+        // neighbors marked by that side, none of them on this frontier.
+        if (theirs[v] == epoch) return depth + depths[1 - side];
+        if (mine[v] == epoch) continue;
+        mine[v] = epoch;
+        next_frontier_.push_back(v);
+      }
+    }
+    frontiers[side]->swap(next_frontier_);
+  }
+  return kUnreachable;
 }
 
 const std::uint32_t* ShortestPaths::row(NodeId src) const {
   return row_for(src).data();
 }
 
-bool ShortestPaths::connected() const {
+void ShortestPaths::ensure_components() const {
   sync();
-  if (connected_valid_) return connected_;
+  if (components_valid_) return;
+  obs::ProfileScope scope("net/shortest_paths_bfs");
   const NodeId n = topology_.num_nodes();
-  connected_ = true;
-  for (NodeId src = 0; src < n; ++src) {
-    if (!topology_.alive(src)) continue;
-    // One BFS: the alive subgraph is connected iff it reaches every alive
-    // node from any single alive source.
-    const std::vector<std::uint32_t>& dist = row_for(src);
-    std::size_t reached = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      if (dist[v] != kUnreachable) ++reached;
+  component_.assign(n, kUnreachable);
+  component_count_ = 0;
+  for (NodeId root = 0; root < n; ++root) {
+    if (!topology_.alive(root) || component_[root] != kUnreachable) continue;
+    const std::uint32_t id = component_count_++;
+    component_[root] = id;
+    frontier_.assign(1, root);
+    while (!frontier_.empty()) {
+      const NodeId u = frontier_.back();
+      frontier_.pop_back();
+      for (const NodeId v : topology_.neighbors(u)) {
+        if (!topology_.alive(v) || component_[v] != kUnreachable) continue;
+        component_[v] = id;
+        frontier_.push_back(v);
+      }
     }
-    connected_ = reached == topology_.alive_count();
-    break;
   }
-  connected_valid_ = true;
-  return connected_;
+  components_valid_ = true;
+}
+
+bool ShortestPaths::reachable(NodeId from, NodeId to) const {
+  REALTOR_ASSERT(from < topology_.num_nodes());
+  REALTOR_ASSERT(to < topology_.num_nodes());
+  ensure_components();
+  return component_[from] != kUnreachable &&
+         component_[from] == component_[to];
+}
+
+bool ShortestPaths::connected() const {
+  ensure_components();
+  return component_count_ <= 1;
 }
 
 void ShortestPaths::ensure_stats() const {

@@ -1,15 +1,23 @@
 // Hop distances over the alive subgraph, computed lazily.
 //
-// The old implementation eagerly rebuilt an O(N^2)-memory all-pairs matrix
-// plus an O(N^2) stats scan after every liveness change — ~400 MB and
-// seconds of work per attack event at N=10k. This version does no work
-// until asked: hops()/row() run one BFS per queried source and cache the
-// row keyed by Topology::version(); connected() is a single BFS;
-// average_path_length()/diameter() stream per-source BFS rows only when
-// the cost model actually asks (exact by default, with an opt-in sampled
-// estimator for large topologies that paper-config runs never enable).
-// Any topology change simply invalidates the caches — refresh() is now a
-// cheap resynchronization, not a rebuild.
+// Nothing is computed until asked, and any topology change simply
+// invalidates the caches (refresh() is a cheap resynchronization, not a
+// rebuild). Three kinds of query share one instance:
+//   * Rows. row() runs one whole-graph BFS per source and caches the row
+//     (up to 64, keyed by Topology::version()) for flood fan-out, which
+//     needs every destination's distance. average_path_length()/diameter()
+//     stream per-source rows only when the cost model asks (exact by
+//     default, with an opt-in sampled estimator for large topologies that
+//     paper-config runs never enable).
+//   * Components. connected() and reachable() read component labels that
+//     one pass over the alive subgraph computes per topology version.
+//   * Point queries. hops(a, b) answers from a cached row of either
+//     endpoint (the graph is undirected); otherwise it runs a
+//     bidirectional BFS that stops on the first level where the two
+//     frontiers meet, or as soon as either frontier empties. Its visit
+//     marks are epoch-stamped, so a query never pays O(N) to reset them,
+//     and it caches nothing: exact-hop unicasts rotate over far more
+//     sources than any row cache holds.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +42,7 @@ class ShortestPaths {
   void refresh();
 
   /// Hop count between alive nodes; kUnreachable if disconnected or if
-  /// either endpoint is dead.
+  /// either endpoint is dead. A point query: never caches a row.
   std::uint32_t hops(NodeId from, NodeId to) const;
 
   /// Distance row for `src` (indexable by destination, num_nodes wide).
@@ -43,9 +51,10 @@ class ShortestPaths {
   /// queries. Lets flood loops resolve N-1 destinations with one lookup.
   const std::uint32_t* row(NodeId src) const;
 
-  bool reachable(NodeId from, NodeId to) const {
-    return hops(from, to) != kUnreachable;
-  }
+  /// True when both nodes are alive and in the same component of the
+  /// alive subgraph, i.e. hops(from, to) != kUnreachable. O(1) after one
+  /// labelling pass per topology version.
+  bool reachable(NodeId from, NodeId to) const;
 
   /// Mean hop count over all ordered pairs of distinct, mutually reachable
   /// alive nodes. On the paper's 5x5 mesh this is ~3.33; the paper rounds
@@ -56,7 +65,7 @@ class ShortestPaths {
   /// Longest finite shortest path (a lower bound when sampling).
   std::uint32_t diameter() const;
 
-  /// True when every pair of alive nodes is mutually reachable. One BFS.
+  /// True when every pair of alive nodes is mutually reachable.
   bool connected() const;
 
   /// Topology version this table was computed against.
@@ -80,6 +89,10 @@ class ShortestPaths {
   void bfs(NodeId src, std::vector<std::uint32_t>& dist) const;
   /// Returns the cached row for `src`, computing it if absent.
   const std::vector<std::uint32_t>& row_for(NodeId src) const;
+  /// Bidirectional BFS between distinct alive nodes; caches nothing.
+  std::uint32_t point_search(NodeId from, NodeId to) const;
+  /// Labels the components of the alive subgraph, once per version.
+  void ensure_components() const;
   void ensure_stats() const;
 
   /// Row-cache capacity: enough for every concurrent flood origin in a
@@ -97,16 +110,27 @@ class ShortestPaths {
   mutable std::uint32_t diameter_ = 0;
   mutable bool stats_sampled_ = false;
 
-  mutable bool connected_valid_ = false;
-  mutable bool connected_ = false;
+  mutable bool components_valid_ = false;
+  mutable std::uint32_t component_count_ = 0;
+  /// Component id per node; kUnreachable for dead nodes.
+  mutable std::vector<std::uint32_t> component_;
 
   bool sampling_enabled_ = false;
   NodeId sampling_min_nodes_ = 2500;
   NodeId sampling_sources_ = 64;
 
-  // Scratch for BFS frontiers; reused across queries.
+  // Scratch for BFS frontiers; reused across queries. The point search
+  // uses frontier_ for the side at `from`, back_frontier_ for the side at
+  // `to`, and next_frontier_ for the level being built.
   mutable std::vector<NodeId> frontier_;
+  mutable std::vector<NodeId> back_frontier_;
   mutable std::vector<NodeId> next_frontier_;
+
+  /// Point-search marks from the `from` side ([0]) and the `to` side
+  /// ([1]): side s has reached node v iff marks_[s][v] == epoch_. Never
+  /// cleared between searches; only an epoch_ wrap resets them.
+  mutable std::vector<std::uint32_t> marks_[2];
+  mutable std::uint32_t epoch_ = 0;
 };
 
 }  // namespace realtor::net

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/profile.hpp"
+#include "net/shortest_paths.hpp"
 
 namespace realtor::obs {
 namespace {
@@ -135,6 +137,27 @@ TEST_F(ProfileTest, RenderTextListsEveryScopeOnce) {
       render_profile_text(Profiler::instance().snapshot());
   EXPECT_NE(text.find("engine"), std::string::npos);
   EXPECT_NE(text.find("leaf"), std::string::npos);
+}
+
+// perfbench reads the shortest-path layer (net.bfs_calls, net.bfs_s) from
+// this scope; a point query timed anywhere else would be charged to its
+// caller's self time instead.
+TEST_F(ProfileTest, PointQueryRunsUnderTheShortestPathScope) {
+  const net::Topology mesh = net::make_mesh(6, 6);
+  const net::ShortestPaths sp(mesh);
+  Profiler::instance().set_enabled(true);
+  EXPECT_EQ(sp.hops(0, 35), 10u);
+  Profiler::instance().set_enabled(false);
+  const std::string suffix = "net/shortest_paths_bfs";
+  std::uint64_t calls = 0;
+  for (const ProfileEntry& entry : Profiler::instance().snapshot()) {
+    if (entry.path.size() >= suffix.size() &&
+        entry.path.compare(entry.path.size() - suffix.size(), suffix.size(),
+                           suffix) == 0) {
+      calls += entry.calls;
+    }
+  }
+  EXPECT_EQ(calls, 1u);
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
+
 namespace realtor::net {
 namespace {
 
@@ -150,6 +155,104 @@ TEST(ShortestPaths, StarIsTwoHopsBetweenLeaves) {
   EXPECT_EQ(sp.hops(1, 2), 2u);
   EXPECT_EQ(sp.hops(0, 5), 1u);
   EXPECT_EQ(sp.diameter(), 2u);
+}
+
+/// Every ordered pair's point query on one long-lived instance, checked
+/// against a fresh instance's full rows for the current liveness.
+void expect_point_queries_match_rows(const Topology& t, const ShortestPaths& sp,
+                                     int phase) {
+  const NodeId n = t.num_nodes();
+  std::vector<std::vector<std::uint32_t>> ref(n);
+  {
+    const ShortestPaths fresh(t);
+    for (NodeId a = 0; a < n; ++a) {
+      const std::uint32_t* row = fresh.row(a);
+      ref[a].assign(row, row + n);
+    }
+  }
+  bool all_alive_pairs_reachable = true;
+  for (NodeId a = 0; a < n; ++a) {
+    for (NodeId b = 0; b < n; ++b) {
+      if (t.alive(a) && t.alive(b) && ref[a][b] == kUnreachable) {
+        all_alive_pairs_reachable = false;
+      }
+    }
+  }
+  EXPECT_EQ(sp.connected(), all_alive_pairs_reachable) << "phase " << phase;
+  for (NodeId a = 0; a < n; ++a) {
+    // Interleave row() so later queries find cached rows of either
+    // endpoint next to uncached ones.
+    if ((a + static_cast<NodeId>(phase)) % 3 == 0) {
+      ASSERT_EQ(sp.row(a)[a], t.alive(a) ? 0u : kUnreachable);
+    }
+    for (NodeId b = 0; b < n; ++b) {
+      const std::uint32_t d = sp.hops(a, b);
+      ASSERT_EQ(d, ref[a][b]) << "phase " << phase << " " << a << "->" << b;
+      ASSERT_EQ(d, sp.hops(b, a)) << "phase " << phase << " " << a << "," << b;
+      ASSERT_EQ(sp.reachable(a, b), d != kUnreachable) << a << "," << b;
+      if (!t.alive(a) || !t.alive(b)) {
+        ASSERT_EQ(d, kUnreachable) << "dead endpoint " << a << "," << b;
+      } else if (a == b) {
+        ASSERT_EQ(d, 0u) << "alive self " << a;
+      }
+    }
+  }
+}
+
+/// Kills each alive node with probability `p`.
+void kill_random(Topology& t, RngStream& rng, double p) {
+  for (NodeId v = 0; v < t.num_nodes(); ++v) {
+    if (t.alive(v) && rng.bernoulli(p)) t.set_alive(v, false);
+  }
+}
+
+TEST(ShortestPaths, PointQueriesMatchFullRows) {
+  struct Case {
+    std::string name;
+    Topology topology;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"mesh", make_mesh(9, 8)});
+  cases.push_back({"torus", make_torus(6, 5)});
+  cases.push_back({"ring", make_ring(17)});
+  cases.push_back({"star", make_star(12)});
+  cases.push_back({"random", make_random_connected(40, 60, 3)});
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    for (Case& c : cases) {
+      SCOPED_TRACE(c.name + " seed " + std::to_string(seed));
+      Topology t = c.topology;
+      RngStream rng(seed, "point-queries");
+      const ShortestPaths sp(t);
+      int phase = 0;
+      expect_point_queries_match_rows(t, sp, phase++);
+
+      kill_random(t, rng, 0.2);
+      expect_point_queries_match_rows(t, sp, phase++);
+
+      // Partition: cut every neighbor of one alive node away from it.
+      const std::vector<NodeId> alive = t.alive_nodes();
+      ASSERT_FALSE(alive.empty());
+      const NodeId island = alive[rng.uniform_index(alive.size())];
+      bool cut = false;
+      for (const NodeId v : t.alive_neighbors(island)) {
+        t.set_alive(v, false);
+        cut = true;
+      }
+      if (cut && t.alive_count() > 1) {
+        EXPECT_FALSE(sp.connected());
+      }
+      expect_point_queries_match_rows(t, sp, phase++);
+
+      // Liveness flip back: restore about half of the dead nodes.
+      for (NodeId v = 0; v < t.num_nodes(); ++v) {
+        if (!t.alive(v) && rng.bernoulli(0.5)) t.set_alive(v, true);
+      }
+      expect_point_queries_match_rows(t, sp, phase++);
+
+      kill_random(t, rng, 0.45);
+      expect_point_queries_match_rows(t, sp, phase++);
+    }
+  }
 }
 
 }  // namespace

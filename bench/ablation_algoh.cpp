@@ -25,7 +25,7 @@ Point run_point(const realtor::Flags& flags,
   using namespace realtor;
   Point point;
   for (std::uint32_t rep = 0; rep < reps; ++rep) {
-    experiment::ScenarioConfig config = benchutil::base_config(flags);
+    experiment::ScenarioConfig config = experiment::scenario_from_flags(flags);
     config.protocol = protocol;
     config.protocol_kind = proto::ProtocolKind::kRealtor;
     config.lambda = lambda;

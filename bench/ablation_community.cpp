@@ -29,7 +29,8 @@ int main(int argc, char** argv) {
     for (const double lambda : {6.0, 8.0}) {
       OnlineStats admit, overhead, pledges;
       for (std::uint32_t rep = 0; rep < reps; ++rep) {
-        experiment::ScenarioConfig config = benchutil::base_config(flags);
+        experiment::ScenarioConfig config =
+            experiment::scenario_from_flags(flags);
         config.protocol_kind = proto::ProtocolKind::kRealtor;
         config.protocol.max_communities = budget;
         config.lambda = lambda;

@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
     OnlineStats admit[2], overhead[2], escalations;
     for (std::uint32_t rep = 0; rep < reps; ++rep) {
       for (int fed = 0; fed < 2; ++fed) {
-        experiment::ScenarioConfig config = benchutil::base_config(flags);
+        experiment::ScenarioConfig config =
+            experiment::scenario_from_flags(flags);
         config.topology.width = side;
         config.topology.height = side;
         config.lambda = per_node_lambda * side * side;

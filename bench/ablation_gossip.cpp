@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
                                           proto::ProtocolKind::kGossip};
     for (std::uint32_t rep = 0; rep < reps; ++rep) {
       for (int k = 0; k < 2; ++k) {
-        experiment::ScenarioConfig config = benchutil::base_config(flags);
+        experiment::ScenarioConfig config =
+            experiment::scenario_from_flags(flags);
         config.protocol_kind = kinds[k];
         config.lambda = lambda;
         config.duration = flags.get_double("duration", 400.0);
@@ -62,7 +63,8 @@ int main(int argc, char** argv) {
     for (const double interval : {0.5, 1.0, 2.0}) {
       OnlineStats admit, overhead;
       for (std::uint32_t rep = 0; rep < reps; ++rep) {
-        experiment::ScenarioConfig config = benchutil::base_config(flags);
+        experiment::ScenarioConfig config =
+            experiment::scenario_from_flags(flags);
         config.protocol_kind = proto::ProtocolKind::kGossip;
         config.protocol.gossip_fanout = f;
         config.protocol.gossip_interval = interval;

@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
     OnlineStats admit[3], migrate[3];
     for (std::uint32_t rep = 0; rep < reps; ++rep) {
       for (int v = 0; v < 3; ++v) {
-        experiment::ScenarioConfig config = benchutil::base_config(flags);
+        experiment::ScenarioConfig config =
+            experiment::scenario_from_flags(flags);
         config.protocol_kind = proto::ProtocolKind::kRealtor;
         config.lambda = lambda;
         config.duration = flags.get_double("duration", 400.0);

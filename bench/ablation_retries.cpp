@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
       OnlineStats admit8, admit10, nego10, migr10;
       for (const double lambda : {8.0, 10.0}) {
         for (std::uint32_t rep = 0; rep < reps; ++rep) {
-          experiment::ScenarioConfig config = benchutil::base_config(flags);
+          experiment::ScenarioConfig config =
+              experiment::scenario_from_flags(flags);
           config.migration.max_tries = tries;
           config.protocol_kind = kind;
           config.lambda = lambda;

@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
                                           proto::ProtocolKind::kPurePush};
     for (std::uint32_t rep = 0; rep < reps; ++rep) {
       for (int k = 0; k < 2; ++k) {
-        experiment::ScenarioConfig config = benchutil::base_config(flags);
+        experiment::ScenarioConfig config =
+            experiment::scenario_from_flags(flags);
         config.topology.width = side;
         config.topology.height = side;
         config.lambda = per_node_lambda * nodes;

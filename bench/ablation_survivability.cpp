@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
           proto::ProtocolKind::kAdaptivePull, proto::ProtocolKind::kRealtor}) {
       OnlineStats admit, rescue;
       for (std::uint32_t rep = 0; rep < reps; ++rep) {
-        experiment::ScenarioConfig config = benchutil::base_config(flags);
+        experiment::ScenarioConfig config =
+            experiment::scenario_from_flags(flags);
         config.lambda = lambda;
         config.duration = flags.get_double("duration", 300.0);
         config.protocol_kind = kind;

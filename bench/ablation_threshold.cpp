@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
     for (const double lambda : {6.0, 8.0}) {
       OnlineStats admit, overhead, migration;
       for (std::uint32_t rep = 0; rep < reps; ++rep) {
-        experiment::ScenarioConfig config = benchutil::base_config(flags);
+        experiment::ScenarioConfig config =
+            experiment::scenario_from_flags(flags);
         config.protocol.help_threshold = threshold;
         config.protocol.pledge_threshold = threshold;
         config.protocol.availability_floor = 1.0 - threshold;

@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
     for (const auto kind : proto::kAllProtocolKinds) {
       OnlineStats admit;
       for (std::uint32_t rep = 0; rep < reps; ++rep) {
-        experiment::ScenarioConfig config = benchutil::base_config(flags);
+        experiment::ScenarioConfig config =
+            experiment::scenario_from_flags(flags);
         config.protocol_kind = kind;
         config.lambda = lambda;
         config.duration = flags.get_double("duration", 400.0);

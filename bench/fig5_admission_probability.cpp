@@ -11,7 +11,7 @@
 int main(int argc, char** argv) {
   using namespace realtor;
   const Flags flags(argc, argv);
-  const auto config = benchutil::base_config(flags);
+  const auto config = experiment::scenario_from_flags(flags);
   const auto options = benchutil::sweep_options(flags);
 
   std::cout << "Figure 5: admission probability (task-size=5, q-size="

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::vector<experiment::TimelineSample>> timelines;
   for (const auto kind : kinds) {
-    experiment::ScenarioConfig config = benchutil::base_config(flags);
+    experiment::ScenarioConfig config = experiment::scenario_from_flags(flags);
     config.protocol_kind = kind;
     config.lambda = lambda;
     config.duration = flags.get_double("duration", 500.0);

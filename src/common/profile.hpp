@@ -6,8 +6,8 @@
 // realtor_net — so the event-loop kernel and the shortest-path cache can
 // be instrumented without a dependency on the obs library. It is exposed
 // in namespace realtor::obs because it is part of the observability
-// surface: the obs metrics registry and BENCH_obs.json consume its
-// snapshots.
+// surface: realtor_sim --profile, perfbench and BENCH_obs.json consume
+// its snapshots.
 //
 // Cost contract: when disabled (the default), a ProfileScope costs one
 // relaxed atomic load and a predictable branch — no clock reads, no

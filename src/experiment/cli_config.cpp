@@ -1,7 +1,12 @@
 #include "experiment/cli_config.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
 #include "proto/factory.hpp"
 
@@ -35,19 +40,50 @@ void apply_topology_flags(const Flags& flags, ScenarioConfig& config) {
   config.approx_path_stats = flags.get_bool("approx-paths", false);
 }
 
+namespace {
+
+/// One attack field: the whole text is a finite non-negative number (an
+/// integer when T is).
+template <typename T>
+bool parse_attack_field(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    return std::isfinite(out) && out >= 0.0;
+  }
+  return true;
+}
+
+bool parse_attack_wave(std::string_view entry, AttackWave& wave) {
+  std::string_view fields[4];
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::size_t colon = entry.find(':');
+    if ((colon == std::string_view::npos) != (i == 3)) return false;
+    fields[i] = entry.substr(0, colon);
+    entry.remove_prefix(i == 3 ? entry.size() : colon + 1);
+  }
+  return parse_attack_field(fields[0], wave.time) &&
+         parse_attack_field(fields[1], wave.count) &&
+         parse_attack_field(fields[2], wave.grace) &&
+         parse_attack_field(fields[3], wave.outage);
+}
+
+}  // namespace
+
 std::vector<AttackWave> parse_attack_waves(const std::string& spec) {
-  // "time:count:grace:outage" entries separated by commas.
   std::vector<AttackWave> waves;
   std::istringstream stream(spec);
   std::string entry;
   while (std::getline(stream, entry, ',')) {
     AttackWave wave;
-    unsigned long long count = 0;
-    if (std::sscanf(entry.c_str(), "%lf:%llu:%lf:%lf", &wave.time, &count,
-                    &wave.grace, &wave.outage) == 4) {
-      wave.count = static_cast<std::size_t>(count);
-      waves.push_back(wave);
+    if (!parse_attack_wave(entry, wave)) {
+      throw std::invalid_argument(
+          "attack entry " + std::to_string(waves.size()) + " '" + entry +
+          "': expected time:count:grace:outage (non-negative numbers, "
+          "integer count)");
     }
+    waves.push_back(wave);
   }
   return waves;
 }

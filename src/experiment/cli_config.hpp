@@ -26,12 +26,15 @@
 
 namespace realtor::experiment {
 
-/// Builds a ScenarioConfig from command-line flags.
+/// Builds a ScenarioConfig from command-line flags. Throws
+/// std::invalid_argument on a malformed --attack spec.
 ScenarioConfig scenario_from_flags(const Flags& flags);
 
 /// Parses a comma-separated "time:count:grace:outage" attack list (the
-/// --attack flag grammar); malformed entries are skipped. Shared with
-/// --attack-sweep, whose ';'-separated chunks each use this grammar.
+/// --attack flag grammar; an empty spec is no waves). Throws
+/// std::invalid_argument naming the first malformed entry's 0-based index
+/// and text. Shared with --attack-sweep, whose ';'-separated chunks each
+/// use this grammar.
 std::vector<AttackWave> parse_attack_waves(const std::string& spec);
 
 /// Maps a --topology flag value to its TopologyKind (unknown names fall

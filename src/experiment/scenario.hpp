@@ -137,9 +137,12 @@ struct ScenarioConfig {
   /// disables sampling.
   SimTime timeline_interval = 0.0;
 
-  /// Period of the observability sampler (per-node node_sample trace
-  /// records plus the registry flattened into system_sample records); 0
-  /// disables it. Only useful together with Simulation::set_trace_sink().
+  /// Period of the sampled time series: each tick writes one node_sample
+  /// trace record per alive node and six system_sample records
+  /// (messages.cost, nodes.alive, occupancy.mean, tasks.admitted,
+  /// tasks.generated, tasks.rejected), and a run whose last tick landed
+  /// before its end gets one more sample at the end; 0 disables it. Only
+  /// useful together with Simulation::set_trace_sink().
   SimTime sample_interval = 0.0;
   /// Emit one sampled engine_step trace record every N processed engine
   /// events (0 = off; disabled costs one integer test per event).

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "common/profile.hpp"
 #include "proto/factory.hpp"
 
 namespace realtor::experiment {
@@ -137,10 +136,6 @@ Simulation::Simulation(const ScenarioConfig& config)
   injector_.add_listener([this](NodeId nodeid, bool alive) {
     on_liveness_change(nodeid, alive);
   });
-  if (config_.sample_interval > 0.0) {
-    sampler_.emplace(engine_, config_.sample_interval, tracer_, &registry_);
-    sampler_->add_probe([this](SimTime now) { sample_observability(now); });
-  }
 }
 
 void Simulation::handle_arrival(const sim::Arrival& arrival) {
@@ -465,8 +460,8 @@ void Simulation::begin_run() {
     engine_.schedule_in(config_.timeline_interval,
                         [this] { take_timeline_sample(); });
   }
-  if (sampler_) {
-    sampler_->start();
+  if (config_.sample_interval > 0.0) {
+    engine_.schedule_in(config_.sample_interval, [this] { sample_tick(); });
   }
   if (config_.live_cadence > 0.0) {
     engine_.schedule_in(config_.live_cadence, [this] { live_tick(); });
@@ -542,7 +537,7 @@ void Simulation::take_timeline_sample() {
 
 void Simulation::live_tick() {
   // Always re-arm before emitting so the engine schedule is identical
-  // whether or not a sink is attached (same contract as the sampler).
+  // whether or not a sink is attached (same contract as sample_tick).
   engine_.schedule_in(config_.live_cadence, [this] { live_tick(); });
   const SimTime now = engine_.now();
   live_last_tick_ = now;
@@ -550,13 +545,19 @@ void Simulation::live_tick() {
   tracer_.emit(obs::TraceEvent(now, kInvalidNode, obs::EventKind::kLiveTick));
 }
 
-void Simulation::sample_observability(SimTime now) {
+void Simulation::sample_tick() {
+  engine_.schedule_in(config_.sample_interval, [this] { sample_tick(); });
+  take_sample(engine_.now());
+}
+
+void Simulation::take_sample(SimTime now) {
+  sample_last_ = now;
+  if (!tracing()) return;
   const std::size_t alive = topology_.alive_count();
   double occupancy_sum = 0.0;
   topology_.for_each_alive_node([&](NodeId id) {
     const node::Host& host = *hosts_[id];
     occupancy_sum += host.occupancy();
-    if (!tracing()) return;
     const proto::ProtocolProbe probe = protocols_[id]->probe(now);
     obs::TraceEvent event(now, id, obs::EventKind::kNodeSample);
     event.with("occupancy", host.occupancy())
@@ -568,16 +569,23 @@ void Simulation::sample_observability(SimTime now) {
     }
     tracer_.emit(event);
   });
-  registry_.gauge("nodes.alive").set(static_cast<double>(alive));
-  registry_.gauge("occupancy.mean")
-      .set(alive > 0 ? occupancy_sum / static_cast<double>(alive) : 0.0);
-  registry_.gauge("messages.cost").set(metrics_.ledger.overhead_cost());
-  registry_.gauge("tasks.generated")
-      .set(static_cast<double>(metrics_.generated));
-  registry_.gauge("tasks.admitted")
-      .set(static_cast<double>(metrics_.admitted_total()));
-  registry_.gauge("tasks.rejected")
-      .set(static_cast<double>(metrics_.rejected));
+  // Name order is the trace format: consumers key on these literals, and
+  // each name has one address, which the flight recorder interns by.
+  const std::pair<const char*, double> system[] = {
+      {"messages.cost", metrics_.ledger.overhead_cost()},
+      {"nodes.alive", static_cast<double>(alive)},
+      {"occupancy.mean",
+       alive > 0 ? occupancy_sum / static_cast<double>(alive) : 0.0},
+      {"tasks.admitted", static_cast<double>(metrics_.admitted_total())},
+      {"tasks.generated", static_cast<double>(metrics_.generated)},
+      {"tasks.rejected", static_cast<double>(metrics_.rejected)},
+  };
+  for (const auto& [name, value] : system) {
+    tracer_.emit(obs::TraceEvent(now, kInvalidNode,
+                                 obs::EventKind::kSystemSample)
+                     .with("name", name)
+                     .with("value", value));
+  }
 }
 
 void Simulation::finalize_telemetry() {
@@ -585,8 +593,8 @@ void Simulation::finalize_telemetry() {
   // Last-sample-at-end: close the sampled time series at the run's final
   // instant, then close the live plane with a final tick so its last
   // snapshot covers everything (including the samples just emitted).
-  if (sampler_) {
-    sampler_->finish(now);
+  if (config_.sample_interval > 0.0 && sample_last_ < now) {
+    take_sample(now);
   }
   if (config_.live_cadence > 0.0 && live_last_tick_ < now && tracing()) {
     live_last_tick_ = now;
@@ -602,19 +610,6 @@ void Simulation::finalize_telemetry() {
   const double n = static_cast<double>(monitors_.size());
   metrics_.mean_occupancy = occupancy_sum / n;
   metrics_.mean_utilization = utilization_sum / n;
-
-  // Fold the self-profiler's scope totals into the registry so profiled
-  // runs export them alongside the simulation gauges. The process-wide
-  // profiler outlives this Simulation, so the totals cover everything
-  // recorded since its last reset (the harness resets between runs).
-  if (obs::Profiler::instance().enabled()) {
-    for (const obs::ProfileEntry& entry : obs::Profiler::instance().snapshot()) {
-      registry_.gauge("profile." + entry.path + ".calls")
-          .set(static_cast<double>(entry.calls));
-      registry_.gauge("profile." + entry.path + ".ms")
-          .set(static_cast<double>(entry.ns) / 1e6);
-    }
-  }
 }
 
 }  // namespace realtor::experiment

@@ -13,10 +13,10 @@
 //      gathered, possibly stale information, as the paper discusses.
 #pragma once
 
+#include <functional>
 #include <memory>
-#include <vector>
-
 #include <optional>
+#include <vector>
 
 #include "admission/admission_controller.hpp"
 #include "experiment/metrics.hpp"
@@ -28,8 +28,6 @@
 #include "net/topology.hpp"
 #include "node/host.hpp"
 #include "node/monitor.hpp"
-#include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "proto/discovery_protocol.hpp"
 #include "sim/arrivals.hpp"
@@ -62,7 +60,7 @@ class Simulation {
 
   /// Phased execution for the warm-start executor; run() is exactly
   /// begin_run() + finish_run(). begin_run() performs the full t=0
-  /// schedule (protocols, attacks, samplers, arrivals); run_prefix(t)
+  /// schedule (protocols, attacks, sample ticks, arrivals); run_prefix(t)
   /// advances the world to just before `t` (the snapshot barrier — events
   /// at exactly `t` stay pending); finish_run() runs the remainder and
   /// finalizes metrics. Splitting a run this way is observationally
@@ -102,7 +100,7 @@ class Simulation {
   const std::vector<TimelineSample>& timeline() const { return timeline_; }
 
   /// Attaches a borrowed trace sink; every instrumented layer (protocols,
-  /// hosts, admission, lifecycle, sampler) starts emitting through it.
+  /// hosts, admission, lifecycle, samples) starts emitting through it.
   /// nullptr detaches. Tracing never changes decisions: a traced run of a
   /// seed is event-for-event identical to the untraced run.
   void set_trace_sink(obs::TraceSink* sink) { tracer_.set_sink(sink); }
@@ -122,8 +120,6 @@ class Simulation {
   /// Discovery-episode ids handed out so far (shared across all protocol
   /// instances of this run; see obs::EpisodeSource).
   const obs::EpisodeSource& episodes() const { return episodes_; }
-  /// Gauges refreshed at each sampler tick (sample_interval > 0).
-  const obs::Registry& registry() const { return registry_; }
 
   /// Valid after run() as well as before (for tests that drive the engine
   /// manually via engine()).
@@ -153,7 +149,9 @@ class Simulation {
   void on_liveness_change(NodeId nodeid, bool alive);
   void schedule_attacks(const std::vector<AttackWave>& waves);
   void finalize_telemetry();
-  void sample_observability(SimTime now);
+  void sample_tick();
+  /// One node_sample per alive node, then the six system_sample records.
+  void take_sample(SimTime now);
   bool tracing() const { return tracer_.active(); }
 
   ScenarioConfig config_;
@@ -176,8 +174,9 @@ class Simulation {
   std::vector<TimelineSample> timeline_;
   obs::Tracer tracer_;
   obs::EpisodeSource episodes_;
-  obs::Registry registry_;
-  std::optional<obs::Sampler> sampler_;
+  /// Time of the newest sample (sample_interval > 0); negative before the
+  /// first.
+  SimTime sample_last_ = -1.0;
   /// Time of the newest live_tick boundary; negative before the first.
   SimTime live_last_tick_ = -1.0;
   bool begun_ = false;

@@ -11,8 +11,6 @@ namespace realtor::net {
 ShortestPaths::ShortestPaths(const Topology& topology)
     : topology_(topology), version_(topology.version()) {}
 
-void ShortestPaths::refresh() { sync(); }
-
 void ShortestPaths::sync() const {
   if (version_ == topology_.version()) return;
   for (auto& [src, dist] : rows_) {

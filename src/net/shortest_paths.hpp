@@ -1,8 +1,8 @@
 // Hop distances over the alive subgraph, computed lazily.
 //
 // Nothing is computed until asked, and any topology change simply
-// invalidates the caches (refresh() is a cheap resynchronization, not a
-// rebuild). Three kinds of query share one instance:
+// invalidates the caches, which every query checks first. Three kinds of
+// query share one instance:
 //   * Rows. row() runs one whole-graph BFS per source and caches the row
 //     (up to 64, keyed by Topology::version()) for flood fan-out, which
 //     needs every destination's distance. average_path_length()/diameter()
@@ -36,11 +36,6 @@ class ShortestPaths {
   /// on first query and track liveness changes automatically.
   explicit ShortestPaths(const Topology& topology);
 
-  /// Drops stale caches and marks the table current. Queries resync on
-  /// their own, so this is only needed to satisfy version() equality
-  /// checks without issuing a query.
-  void refresh();
-
   /// Hop count between alive nodes; kUnreachable if disconnected or if
   /// either endpoint is dead. A point query: never caches a row.
   std::uint32_t hops(NodeId from, NodeId to) const;
@@ -67,9 +62,6 @@ class ShortestPaths {
 
   /// True when every pair of alive nodes is mutually reachable.
   bool connected() const;
-
-  /// Topology version this table was computed against.
-  std::uint64_t version() const { return version_; }
 
   /// Opt-in sampled path statistics: when enabled and the alive population
   /// reaches `min_nodes`, average_path_length()/diameter() BFS only
@@ -100,6 +92,7 @@ class ShortestPaths {
   static constexpr std::size_t kMaxCachedRows = 64;
 
   const Topology& topology_;
+  /// Topology version the caches were computed against.
   mutable std::uint64_t version_ = 0;
 
   mutable std::unordered_map<NodeId, std::vector<std::uint32_t>> rows_;

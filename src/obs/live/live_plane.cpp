@@ -14,6 +14,16 @@ namespace realtor::obs::live {
 
 namespace {
 
+/// Ring buckets per time window.
+constexpr std::size_t kBuckets = 6;
+/// Default count window (decisions) for admission signals.
+constexpr std::size_t kDecisionWindow = 50;
+/// Per-bucket quantile reservoir for the episode-latency window.
+constexpr std::size_t kLatencyReservoir = 256;
+/// Open episodes older than this many windows are dropped from the open
+/// count at the next tick.
+constexpr double kEpisodeTimeoutWindows = 10.0;
+
 const TraceField* find_field(const TraceEvent& event, const char* key) {
   for (std::uint32_t i = 0; i < event.field_count; ++i) {
     if (std::strcmp(event.fields[i].key, key) == 0) return &event.fields[i];
@@ -78,12 +88,11 @@ void append_label_escaped(std::string& out, const std::string& value) {
 LivePlane::LivePlane(LiveConfig config, TraceSink* downstream)
     : config_(std::move(config)),
       downstream_(downstream),
-      decisions_(config_.decision_window),
-      helps_(config_.window, config_.buckets),
-      messages_(config_.window, config_.buckets),
-      rejections_(config_.window, config_.buckets),
-      episode_latency_(config_.window, config_.buckets,
-                       config_.latency_reservoir),
+      decisions_(kDecisionWindow),
+      helps_(config_.window, kBuckets),
+      messages_(config_.window, kBuckets),
+      rejections_(config_.window, kBuckets),
+      episode_latency_(config_.window, kBuckets, kLatencyReservoir),
       alive_(static_cast<std::int64_t>(config_.node_count)) {
   const std::vector<std::string> specs =
       config_.rules.empty() ? default_alert_rules() : config_.rules;
@@ -97,16 +106,16 @@ LivePlane::LivePlane(LiveConfig config, TraceSink* downstream)
     if (signal_count_windowed(state.rule.signal)) {
       const std::size_t n = state.rule.window > 0.0
                                 ? static_cast<std::size_t>(state.rule.window)
-                                : config_.decision_window;
+                                : kDecisionWindow;
       state.tail.emplace(n);
     } else if (signal_rated(state.rule.signal)) {
       const double span =
           state.rule.window > 0.0 ? state.rule.window : config_.window;
-      state.sliding.emplace(span, config_.buckets);
+      state.sliding.emplace(span, kBuckets);
     } else if (signal_episode_quantile(state.rule.signal)) {
       const double span =
           state.rule.window > 0.0 ? state.rule.window : config_.window;
-      state.sliding.emplace(span, config_.buckets, config_.latency_reservoir);
+      state.sliding.emplace(span, kBuckets, kLatencyReservoir);
     }
     rules_.push_back(std::move(state));
   }
@@ -303,9 +312,7 @@ double LivePlane::evaluate(RuleState& state, SimTime now,
 void LivePlane::tick(SimTime now, bool final_tick) {
   // Drop abandoned episodes (opened, never decided — e.g. the organizer
   // died) so open_episodes measures live distress, not history.
-  const double timeout = config_.episode_timeout > 0.0
-                             ? config_.episode_timeout
-                             : 10.0 * config_.window;
+  const double timeout = kEpisodeTimeoutWindows * config_.window;
   while (!open_.empty() && open_.begin()->second < now - timeout) {
     open_.erase(open_.begin());
   }

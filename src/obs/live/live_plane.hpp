@@ -51,15 +51,6 @@ struct LiveConfig {
   std::string out;
   /// Default time-window span (sim seconds) for rate/latency signals.
   double window = 30.0;
-  /// Ring buckets per time window.
-  std::size_t buckets = 6;
-  /// Default count window (decisions) for admission signals.
-  std::size_t decision_window = 50;
-  /// Per-bucket quantile reservoir for the episode-latency window.
-  std::size_t latency_reservoir = 256;
-  /// Open episodes older than this many sim seconds are dropped from the
-  /// open count at the next tick (0 = 10 * window).
-  double episode_timeout = 0.0;
   /// Rule specs (rules.hpp grammar). Empty = default_alert_rules().
   std::vector<std::string> rules;
   /// Topology size hint for the nodes_alive gauge (0 = unknown, gauge

@@ -6,16 +6,6 @@
 namespace realtor::obs {
 namespace {
 
-template <typename T>
-T& find_or_create(std::map<std::string, std::unique_ptr<T>>& table,
-                  const std::string& name) {
-  auto it = table.find(name);
-  if (it == table.end()) {
-    it = table.emplace(name, std::make_unique<T>()).first;
-  }
-  return *it->second;
-}
-
 /// splitmix64 step — the histogram's private, seed-fixed generator. Using
 /// a self-contained stream (rather than common RngStream) keeps quantile
 /// estimates a pure function of the observation sequence.
@@ -105,39 +95,6 @@ void Histogram::reset() {
   reservoir_.clear();
   seqs_.clear();
   rng_state_ = 0x9e3779b97f4a7c15ULL;
-}
-
-Counter& Registry::counter(const std::string& name) {
-  return find_or_create(counters_, name);
-}
-
-Gauge& Registry::gauge(const std::string& name) {
-  return find_or_create(gauges_, name);
-}
-
-Histogram& Registry::histogram(const std::string& name) {
-  return find_or_create(histograms_, name);
-}
-
-void Registry::for_each(
-    const std::function<void(const std::string&, double)>& fn) const {
-  for (const auto& [name, counter] : counters_) {
-    fn(name, static_cast<double>(counter->value()));
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    fn(name, gauge->value());
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    const OnlineStats& stats = histogram->stats();
-    if (stats.count() == 0) continue;
-    fn(name + ".count", static_cast<double>(stats.count()));
-    fn(name + ".mean", stats.mean());
-    fn(name + ".min", stats.min());
-    fn(name + ".max", stats.max());
-    fn(name + ".p50", histogram->p50());
-    fn(name + ".p90", histogram->p90());
-    fn(name + ".p99", histogram->p99());
-  }
 }
 
 }  // namespace realtor::obs

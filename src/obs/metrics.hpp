@@ -1,55 +1,14 @@
-// Named counters / gauges / histograms with a flattening walk for the
-// time-series sampler.
-//
-// The registry hands out stable references: instrument once at setup
-// (`auto& admitted = registry.counter("tasks.admitted")`), update on the
-// hot path with a plain add/set, and let the sampler flatten everything
-// into system_sample trace records at its period. Metric names live in the
-// registry for its lifetime, so their c_str() pointers are safe to put in
-// TraceField string slots.
-//
-// Counter and Gauge are lock-free: relaxed atomics make concurrent updates
-// from the Agile reactor threads well-defined while compiling to the same
-// single instruction as the old plain stores on x86/ARM — the hot path
-// stays branch-free. Relaxed ordering is enough because metrics are
-// monitoring data: readers (the sampler) tolerate momentary skew between
-// metrics and never use them for synchronization.
+// Streaming distribution with deterministic, mergeable quantiles — the
+// one metric type spans, the scorecard, critical paths and the live
+// windows share.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/stats.hpp"
 
 namespace realtor::obs {
-
-class Counter {
- public:
-  void add(std::uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
-
-class Gauge {
- public:
-  void set(double value) { value_.store(value, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
 
 /// Streaming distribution: count/mean/min/max via common OnlineStats plus
 /// quantiles from a bounded reservoir. While the sample count stays within
@@ -58,8 +17,7 @@ class Gauge {
 /// subsampling (Vitter's Algorithm R) driven by a deterministic internal
 /// generator, so two runs that observe the same sequence report identical
 /// quantiles. Not thread-safe — histograms are owned by single-threaded
-/// analysis paths (sampler flatten, episode summaries), unlike the atomic
-/// Counter/Gauge hot paths.
+/// analysis paths (episode summaries, live windows).
 class Histogram {
  public:
   static constexpr std::size_t kDefaultReservoir = 4096;
@@ -101,38 +59,6 @@ class Histogram {
   /// sample — the deterministic tie-break merge() sorts by.
   std::vector<std::uint64_t> seqs_;
   std::uint64_t rng_state_ = 0x9e3779b97f4a7c15ULL;
-};
-
-class Registry {
- public:
-  Registry() = default;
-  Registry(const Registry&) = delete;
-  Registry& operator=(const Registry&) = delete;
-
-  /// Find-or-create; the returned reference stays valid for the registry's
-  /// lifetime.
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name);
-
-  /// Visits every metric as flat (name, value) pairs — counters, then
-  /// gauges, then histograms, each group sorted by name. Counters and
-  /// gauges yield one pair; histograms yield name.count / name.mean /
-  /// name.min / name.max / name.p50 / name.p90 / name.p99 (skipped when
-  /// empty).
-  void for_each(
-      const std::function<void(const std::string& name, double value)>& fn)
-      const;
-
-  std::size_t size() const {
-    return counters_.size() + gauges_.size() + histograms_.size();
-  }
-
- private:
-  // unique_ptr keeps references stable; map keeps for_each deterministic.
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 }  // namespace realtor::obs

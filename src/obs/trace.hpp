@@ -99,7 +99,7 @@ inline constexpr std::size_t kMaxTraceFields = 8;
 
 /// One typed key/value payload entry. Keys and string values must point to
 /// storage that outlives the sink's use of the event (string literals, or
-/// registry-owned names for metric samples).
+/// names the emitter owns, such as the live plane's alert-rule names).
 ///
 /// Deliberately uninitialized: fields live in TraceEvent's fixed array and
 /// only entries [0, field_count) are ever written or read, so default

@@ -72,6 +72,11 @@ expect "follow combined with scorecard" 1 -- \
   "$TRACE_BIN" "$tmp/run.jsonl" --follow --scorecard
 expect "follow --check without a termination condition" 1 -- \
   "$TRACE_BIN" "$tmp/run.jsonl" --follow --check
+# realtor_sim treats a malformed attack spec as bad usage, too.
+expect "simulation with a malformed --attack entry" 1 -- \
+  "$SIM_BIN" --duration=10 --attack=10:2:1:5,1:2:3:4x
+expect "sweep with a malformed --attack-sweep set" 1 -- \
+  "$SIM_BIN" --sweep=2 --reps=1 --duration=10 --attack-sweep="10:2:1:5;10:-2:1:5"
 
 # exit 2: a gate tripped — here, dropped input under --check (a clean
 # verdict over a partial parse must not read as clean).
@@ -88,4 +93,4 @@ if [ "$fails" -ne 0 ]; then
   echo "$fails contract row(s) violated" >&2
   exit 1
 fi
-echo "exit-code contract holds (15 rows)"
+echo "exit-code contract holds (17 rows)"

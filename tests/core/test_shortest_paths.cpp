@@ -73,15 +73,21 @@ TEST(ShortestPaths, PartitionDetected) {
   EXPECT_EQ(sp.hops(1, 2), 1u);
 }
 
-TEST(ShortestPaths, RefreshTracksTopologyVersion) {
+TEST(ShortestPaths, QueriesFollowLivenessFlips) {
+  // One instance across a kill and a restore: every query resyncs on its
+  // own, cached rows included.
   Topology mesh = make_mesh(3, 3);
-  ShortestPaths sp(mesh);
-  EXPECT_EQ(sp.version(), mesh.version());
+  const ShortestPaths sp(mesh);
+  EXPECT_EQ(sp.row(3)[5], 2u);
+  EXPECT_EQ(sp.hops(3, 5), 2u);
   mesh.set_alive(4, false);
-  EXPECT_NE(sp.version(), mesh.version());
-  sp.refresh();
-  EXPECT_EQ(sp.version(), mesh.version());
+  EXPECT_EQ(sp.row(3)[5], 4u);
+  EXPECT_EQ(sp.hops(3, 5), 4u);
   EXPECT_EQ(sp.hops(0, 4), kUnreachable);
+  mesh.set_alive(4, true);
+  EXPECT_EQ(sp.row(3)[5], 2u);
+  EXPECT_EQ(sp.hops(3, 5), 2u);
+  EXPECT_EQ(sp.hops(0, 4), 2u);
 }
 
 TEST(ShortestPaths, RowMatchesPerPairHops) {

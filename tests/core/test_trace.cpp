@@ -10,16 +10,13 @@
 #include <random>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/log.hpp"
 #include "obs/event_store.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
-#include "sim/engine.hpp"
 
 namespace realtor::obs {
 namespace {
@@ -415,49 +412,6 @@ TEST(JsonlSink, FlushModesWriteIdenticalBytes) {
   }
 }
 
-TEST(MetricsRegistry, FindOrCreateKeepsReferencesStable) {
-  Registry registry;
-  Counter& admitted = registry.counter("tasks.admitted");
-  admitted.add(3);
-  EXPECT_EQ(&registry.counter("tasks.admitted"), &admitted);
-  EXPECT_EQ(registry.counter("tasks.admitted").value(), 3u);
-  registry.gauge("occupancy.mean").set(0.5);
-  registry.histogram("response").observe(2.0);
-  registry.histogram("response").observe(4.0);
-  EXPECT_EQ(registry.size(), 3u);
-}
-
-TEST(MetricsRegistry, FlattensCountersGaugesThenHistograms) {
-  Registry registry;
-  registry.histogram("h").observe(1.0);
-  registry.histogram("h").observe(3.0);
-  registry.gauge("g").set(7.0);
-  registry.counter("c").add(2);
-  registry.histogram("empty");  // no observations: skipped entirely
-  std::vector<std::pair<std::string, double>> flat;
-  registry.for_each([&](const std::string& name, double value) {
-    flat.emplace_back(name, value);
-  });
-  ASSERT_EQ(flat.size(), 9u);
-  EXPECT_EQ(flat[0].first, "c");
-  EXPECT_DOUBLE_EQ(flat[0].second, 2.0);
-  EXPECT_EQ(flat[1].first, "g");
-  EXPECT_DOUBLE_EQ(flat[1].second, 7.0);
-  EXPECT_EQ(flat[2].first, "h.count");
-  EXPECT_DOUBLE_EQ(flat[2].second, 2.0);
-  EXPECT_EQ(flat[3].first, "h.mean");
-  EXPECT_DOUBLE_EQ(flat[3].second, 2.0);
-  EXPECT_EQ(flat[4].first, "h.min");
-  EXPECT_DOUBLE_EQ(flat[4].second, 1.0);
-  EXPECT_EQ(flat[5].first, "h.max");
-  EXPECT_DOUBLE_EQ(flat[5].second, 3.0);
-  EXPECT_EQ(flat[6].first, "h.p50");
-  EXPECT_DOUBLE_EQ(flat[6].second, 2.0);  // midpoint of {1, 3}
-  EXPECT_EQ(flat[7].first, "h.p90");
-  EXPECT_EQ(flat[8].first, "h.p99");
-  EXPECT_DOUBLE_EQ(flat[8].second, 2.98);  // interpolated toward max
-}
-
 TEST(HistogramQuantiles, ExactWithinReservoir) {
   Histogram histogram;
   // 1..100 shuffled deterministically: quantiles must come out exact.
@@ -508,135 +462,6 @@ TEST(HistogramQuantiles, ReservoirSubsamplingIsDeterministic) {
   // And the estimate stays inside the observed range.
   EXPECT_GE(a.p50(), a.stats().min());
   EXPECT_LE(a.p50(), a.stats().max());
-}
-
-// Satellite: Counter/Gauge must tolerate concurrent updates from the
-// Agile reactor threads without torn or lost counts.
-TEST(MetricsAtomicity, ConcurrentCounterAddsAreLossless) {
-  Counter counter;
-  Gauge gauge;
-  constexpr int kThreads = 4;
-  constexpr int kAddsPerThread = 50000;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&counter, &gauge, t] {
-      for (int i = 0; i < kAddsPerThread; ++i) {
-        counter.add();
-        gauge.set(static_cast<double>(t));
-      }
-    });
-  }
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
-  EXPECT_EQ(counter.value(),
-            static_cast<std::uint64_t>(kThreads) * kAddsPerThread);
-  // The gauge holds whichever thread wrote last — any of them, untorn.
-  const double last = gauge.value();
-  EXPECT_GE(last, 0.0);
-  EXPECT_LT(last, static_cast<double>(kThreads));
-}
-
-TEST(Sampler, TicksAtIntervalAndFlattensRegistry) {
-  sim::Engine engine;
-  Tracer tracer;
-  MemorySink sink;
-  tracer.set_sink(&sink);
-  Registry registry;
-  registry.counter("sent").add(5);
-  Sampler sampler(engine, 10.0, tracer, &registry);
-  int probed = 0;
-  sampler.add_probe([&](SimTime) { ++probed; });
-  sampler.start();
-  engine.run_until(35.0);
-  EXPECT_EQ(sampler.ticks(), 3u);
-  EXPECT_EQ(probed, 3);
-  ASSERT_EQ(sink.count(EventKind::kSystemSample), 3u);
-  const TraceEvent& sample = sink.events().front();
-  ASSERT_EQ(sample.field_count, 2u);
-  EXPECT_STREQ(sample.fields[0].s, "sent");
-  EXPECT_DOUBLE_EQ(sample.fields[1].d, 5.0);
-}
-
-// Cadence edge cases around Sampler::finish() — the last-sample-at-end
-// contract the live plane's final exposition snapshot depends on.
-TEST(Sampler, IntervalLongerThanHorizonStillSamplesAtEnd) {
-  sim::Engine engine;
-  Tracer tracer;
-  MemorySink sink;
-  tracer.set_sink(&sink);
-  Registry registry;
-  registry.counter("sent").add(1);
-  Sampler sampler(engine, 50.0, tracer, &registry);
-  sampler.start();
-  engine.run_until(30.0);
-  // No interval boundary fits inside the horizon...
-  EXPECT_EQ(sink.count(EventKind::kSystemSample), 0u);
-  // ...so the final flush is the only gauge record the run gets.
-  sampler.finish(30.0);
-  EXPECT_EQ(sink.count(EventKind::kSystemSample), 1u);
-  EXPECT_DOUBLE_EQ(sampler.last_tick(), 30.0);
-  EXPECT_DOUBLE_EQ(sink.events().back().time, 30.0);
-}
-
-TEST(Sampler, NonDividingIntervalGetsAFinalPartialSample) {
-  sim::Engine engine;
-  Tracer tracer;
-  MemorySink sink;
-  tracer.set_sink(&sink);
-  Registry registry;
-  registry.counter("sent").add(1);
-  Sampler sampler(engine, 10.0, tracer, &registry);
-  sampler.start();
-  engine.run_until(35.0);
-  EXPECT_EQ(sampler.ticks(), 3u);  // 10, 20, 30
-  sampler.finish(35.0);
-  EXPECT_EQ(sampler.ticks(), 4u);  // + the 35.0 tail
-  ASSERT_EQ(sink.count(EventKind::kSystemSample), 4u);
-  EXPECT_DOUBLE_EQ(sink.events().back().time, 35.0);
-}
-
-TEST(Sampler, FinishIsIdempotentAndSkipsAlignedHorizons) {
-  sim::Engine engine;
-  Tracer tracer;
-  MemorySink sink;
-  tracer.set_sink(&sink);
-  Registry registry;
-  registry.counter("sent").add(1);
-  Sampler sampler(engine, 10.0, tracer, &registry);
-  sampler.start();
-  engine.run_until(30.0);
-  // run_until is inclusive: the tick scheduled at exactly t=30 fired, so
-  // finish(30) must not double-sample the horizon...
-  EXPECT_EQ(sampler.ticks(), 3u);
-  sampler.finish(30.0);
-  EXPECT_EQ(sampler.ticks(), 3u);
-  // ...and a second finish at the same instant stays a no-op.
-  sampler.finish(30.0);
-  EXPECT_EQ(sampler.ticks(), 3u);
-  EXPECT_EQ(sink.count(EventKind::kSystemSample), 3u);
-}
-
-TEST(Sampler, ReArmsAcrossDrainedStretches) {
-  sim::Engine engine;
-  Tracer tracer;
-  MemorySink sink;
-  tracer.set_sink(&sink);
-  Registry registry;
-  registry.counter("sent").add(1);
-  Sampler sampler(engine, 10.0, tracer, &registry);
-  sampler.start();
-  // Drain the queue in two bursts: the tick must keep rescheduling itself
-  // through the first drain so the second stretch still gets sampled.
-  engine.run_until(15.0);
-  EXPECT_EQ(sampler.ticks(), 1u);
-  engine.run_until(45.0);
-  EXPECT_EQ(sampler.ticks(), 4u);  // 10, 20, 30, 40
-  EXPECT_DOUBLE_EQ(sampler.last_tick(), 40.0);
-  // finish() after the fast-forward closes out the tail as usual.
-  sampler.finish(45.0);
-  EXPECT_EQ(sampler.ticks(), 5u);
 }
 
 TEST(LogSinkSatellite, CapturesAndRestores) {

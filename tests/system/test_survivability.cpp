@@ -117,7 +117,8 @@ TEST(Survivability, StalePushStateHurtsEvacuationLessThanSoftState) {
 
   auto push = base;
   push.protocol_kind = proto::ProtocolKind::kPurePush;
-  const RunMetrics& mr = Simulation(base).run();
+  Simulation realtor_sim(base);
+  const RunMetrics& mr = realtor_sim.run();
   Simulation push_sim(push);
   const RunMetrics& mp = push_sim.run();
   // Both must still conserve; REALTOR's rescue rate is at least comparable

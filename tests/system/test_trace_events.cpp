@@ -265,5 +265,94 @@ TEST(TraceEvents, SamplerHonorsConfiguredInterval) {
   EXPECT_EQ(sink.count(EventKind::kNodeSample), 4u * 25u);
 }
 
+// The sampled time series (ScenarioConfig::sample_interval): cadence and
+// the last-sample-at-end rule the live plane's final snapshot depends on,
+// read off the system_sample records a whole Simulation writes.
+ScenarioConfig quiet_sampled_scenario(SimTime interval, SimTime duration) {
+  ScenarioConfig config;
+  config.lambda = 2.0;
+  config.duration = duration;
+  config.seed = 3;
+  config.sample_interval = interval;
+  return config;
+}
+
+/// One entry per sample: the time its six system_sample records share.
+std::vector<SimTime> sample_times(const MemorySink& sink) {
+  std::vector<SimTime> times;
+  std::size_t records = 0;
+  for (const TraceEvent& event : sink.events()) {
+    if (event.kind != EventKind::kSystemSample) continue;
+    if (records++ % 6 == 0) times.push_back(event.time);
+    EXPECT_EQ(event.time, times.back());
+  }
+  EXPECT_EQ(records, 6 * times.size());
+  return times;
+}
+
+std::vector<SimTime> run_sampled(SimTime interval, SimTime duration) {
+  Simulation sim(quiet_sampled_scenario(interval, duration));
+  MemorySink sink;
+  sim.set_trace_sink(&sink);
+  sim.run();
+  return sample_times(sink);
+}
+
+TEST(Sampler, IntervalLongerThanHorizonStillSamplesAtEnd) {
+  EXPECT_EQ(run_sampled(50.0, 30.0), (std::vector<SimTime>{30.0}));
+}
+
+TEST(Sampler, NonDividingIntervalGetsAFinalPartialSample) {
+  EXPECT_EQ(run_sampled(10.0, 35.0),
+            (std::vector<SimTime>{10.0, 20.0, 30.0, 35.0}));
+}
+
+TEST(Sampler, AlignedHorizonIsNotSampledTwice) {
+  // The tick at exactly t=30 fires inside the run, so the end adds none.
+  EXPECT_EQ(run_sampled(10.0, 30.0),
+            (std::vector<SimTime>{10.0, 20.0, 30.0}));
+}
+
+TEST(Sampler, ReArmsAcrossDrainedStretches) {
+  // A warm-start split drains the engine up to the barrier; the tick must
+  // keep rescheduling itself so the remainder is still sampled.
+  Simulation sim(quiet_sampled_scenario(10.0, 45.0));
+  MemorySink sink;
+  sim.set_trace_sink(&sink);
+  sim.begin_run();
+  sim.run_prefix(15.0);
+  EXPECT_EQ(sample_times(sink), (std::vector<SimTime>{10.0}));
+  sim.finish_run();
+  EXPECT_EQ(sample_times(sink),
+            (std::vector<SimTime>{10.0, 20.0, 30.0, 40.0, 45.0}));
+}
+
+TEST(Sampler, TickWritesSixSystemSamplesInOrder) {
+  // The t=80 tick of the traced scenario: overloaded, three nodes down.
+  Simulation sim(traced_scenario());
+  MemorySink sink;
+  sim.set_trace_sink(&sink);
+  sim.run();
+  std::string tick;
+  for (const TraceEvent& event : sink.events()) {
+    if (event.kind != EventKind::kSystemSample || event.time != 80.0) continue;
+    tick += obs::format_jsonl(event);
+    tick += '\n';
+  }
+  EXPECT_EQ(tick,
+            "{\"t\":80,\"kind\":\"system_sample\",\"name\":\"messages.cost\","
+            "\"value\":10372}\n"
+            "{\"t\":80,\"kind\":\"system_sample\",\"name\":\"nodes.alive\","
+            "\"value\":22}\n"
+            "{\"t\":80,\"kind\":\"system_sample\",\"name\":\"occupancy.mean\","
+            "\"value\":0.9102596462503769}\n"
+            "{\"t\":80,\"kind\":\"system_sample\",\"name\":\"tasks.admitted\","
+            "\"value\":875}\n"
+            "{\"t\":80,\"kind\":\"system_sample\",\"name\":\"tasks.generated\","
+            "\"value\":920}\n"
+            "{\"t\":80,\"kind\":\"system_sample\",\"name\":\"tasks.rejected\","
+            "\"value\":21}\n");
+}
+
 }  // namespace
 }  // namespace realtor::experiment

@@ -282,5 +282,39 @@ TEST(TraceReference, SerialAndShardedLoadsMatchEmbeddedReference) {
   }
 }
 
+// kTraceReference's synthetic trace breaks no law, so its violations
+// value is the hash of an empty list. This trace breaks each of the seven
+// laws (the first line two of them) and pins how every violation renders.
+TEST(TraceReference, KnownViolationsRenderAsLiteral) {
+  const std::string trace =
+      "{\"t\":1,\"node\":2,\"kind\":\"help_interval\",\"interval\":250}\n"
+      "{\"t\":2,\"node\":3,\"kind\":\"pledge_received\",\"pledger\":4,"
+      "\"episode\":9,\"availability\":0.5}\n"
+      "{\"t\":3,\"node\":5,\"kind\":\"community_expire\",\"organizer\":6}\n"
+      "{\"t\":4,\"node\":7,\"kind\":\"migration_success\",\"target\":8,"
+      "\"episode\":2}\n"
+      "{\"t\":5,\"node\":1,\"kind\":\"help_sent\",\"episode\":4}\n"
+      "{\"t\":6,\"node\":1,\"kind\":\"help_sent\",\"episode\":3}\n"
+      "{\"t\":7,\"node\":9,\"kind\":\"pledge_sent\",\"organizer\":1,"
+      "\"episode\":4,\"availability\":0.05}\n";
+  EventStore store;
+  IngestStats stats;
+  std::string error;
+  ASSERT_TRUE(load_trace_buffer(trace, store, stats, &error)) << error;
+  EXPECT_EQ(render_violations(check_invariants(store)),
+            "help_interval_bounds|1|2|interval 250 outside [0.1, 100]\n"
+            "help_interval_step|1|2|interval 250 from 1 is neither the alpha "
+            "step 2 nor the beta step 0.5\n"
+            "episode_echo|2|3|pledge echoes episode 9 which node 3 never "
+            "opened\n"
+            "community_expire_has_join|3|5|membership in organizer 6 expired "
+            "without a recorded join\n"
+            "migration_has_pledge|4|7|migration to node 8 without a prior "
+            "pledge from it (episode 2)\n"
+            "episode_monotone|6|1|help episode 3 not above previous 4\n"
+            "solicited_pledge_threshold|7|9|solicited pledge with availability "
+            "0.05 below 0.1 (sender was over the pledge threshold)\n");
+}
+
 }  // namespace
 }  // namespace realtor::obs

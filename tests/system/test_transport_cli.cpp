@@ -2,6 +2,8 @@
 // delays) and the CLI flag -> ScenarioConfig mapping.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "experiment/cli_config.hpp"
@@ -171,11 +173,38 @@ TEST(CliConfig, AttackSpecParsesMultipleWaves) {
   EXPECT_DOUBLE_EQ(config.attacks[1].outage, 30.0);
 }
 
-TEST(CliConfig, MalformedAttackEntriesDropped) {
-  const auto config =
-      scenario_from_flags(make_flags({"--attack=garbage,50:2:1:10"}));
-  ASSERT_EQ(config.attacks.size(), 1u);
-  EXPECT_DOUBLE_EQ(config.attacks[0].time, 50.0);
+TEST(CliConfig, MalformedAttackEntryIsPositionedError) {
+  const auto error_of = [](const char* flag) -> std::string {
+    try {
+      scenario_from_flags(make_flags({flag}));
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  const std::string expected =
+      "': expected time:count:grace:outage (non-negative numbers, integer "
+      "count)";
+  EXPECT_EQ(error_of("--attack=garbage,50:2:1:10"),
+            "attack entry 0 'garbage" + expected);
+  EXPECT_EQ(error_of("--attack=50:2:1:10,1:2:3:4x"),
+            "attack entry 1 '1:2:3:4x" + expected);
+  EXPECT_EQ(error_of("--attack=50:-2:1:10"),
+            "attack entry 0 '50:-2:1:10" + expected);
+  EXPECT_EQ(error_of("--attack=-5:2:1:10"),
+            "attack entry 0 '-5:2:1:10" + expected);
+  EXPECT_EQ(error_of("--attack=50:2.5:1:10"),
+            "attack entry 0 '50:2.5:1:10" + expected);
+  EXPECT_EQ(error_of("--attack=50:2:1"), "attack entry 0 '50:2:1" + expected);
+  EXPECT_EQ(error_of("--attack=50:2:1:10:5"),
+            "attack entry 0 '50:2:1:10:5" + expected);
+  EXPECT_EQ(error_of("--attack=50:2:1:nan"),
+            "attack entry 0 '50:2:1:nan" + expected);
+  EXPECT_EQ(error_of("--attack=50:2:1:10,,60:1:1:10"),
+            "attack entry 1 '" + expected);
+  // The whole grammar still parses, exponents included.
+  EXPECT_EQ(error_of("--attack=5e1:2:0.5:10"), "no error");
+  EXPECT_TRUE(scenario_from_flags(make_flags({"--attack="})).attacks.empty());
 }
 
 TEST(CliConfig, FederationBlockSpec) {

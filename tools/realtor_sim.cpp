@@ -75,6 +75,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/profile.hpp"
 #include "experiment/cli_config.hpp"
@@ -418,7 +419,13 @@ int run_sweep_mode(const Flags& flags) {
     std::istringstream stream(flags.get_string("attack-sweep", ""));
     std::string chunk;
     while (std::getline(stream, chunk, ';')) {
-      options.attack_sets.push_back(experiment::parse_attack_waves(chunk));
+      try {
+        options.attack_sets.push_back(experiment::parse_attack_waves(chunk));
+      } catch (const std::invalid_argument& e) {
+        std::cerr << "realtor_sim: --attack-sweep set "
+                  << options.attack_sets.size() << ": " << e.what() << '\n';
+        return 1;
+      }
     }
     if (options.attack_sets.empty()) {
       options.attack_sets.emplace_back();

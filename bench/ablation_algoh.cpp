@@ -41,7 +41,7 @@ Point run_point(const realtor::Flags& flags,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace realtor;
   const Flags flags(argc, argv);
   const auto reps = static_cast<std::uint32_t>(flags.get_int("reps", 3));

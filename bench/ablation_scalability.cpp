@@ -18,7 +18,7 @@
 #include "experiment/figures.hpp"
 #include "experiment/simulation.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace realtor;
   const Flags flags(argc, argv);
   const double per_node_lambda = flags.get_double("node-lambda", 0.28);

@@ -11,10 +11,11 @@
 #include <iostream>
 
 #include "agile/cluster.hpp"
+#include "bench_common.hpp"
 #include "common/flags.hpp"
 #include "common/table.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace realtor;
   const Flags flags(argc, argv);
   const double lambda = flags.get_double("lambda", 6.0);

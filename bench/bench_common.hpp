@@ -22,9 +22,17 @@
 //   --flight-recorder[=N]  binary flight ring per sweep run (N records),
 //                       dumped to <flight-out>.<proto>.lambda<L>.rep<R>.bin
 //   --flight-out=PREFIX flight dump prefix (default "flight")
+//
+// Each bench defines bench_main() instead of main(). The main() at the end
+// of this header (every bench is one translation unit) runs it and turns
+// an escaped exception, such as a malformed --attack spec, into its
+// message on stderr and exit 1, as realtor_sim does, instead of an abort.
 #pragma once
 
+#include <exception>
+#include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/flags.hpp"
@@ -69,3 +77,16 @@ inline experiment::SweepOptions sweep_options(const Flags& flags) {
 }
 
 }  // namespace realtor::benchutil
+
+int bench_main(int argc, char** argv);
+
+int main(int argc, char** argv) {
+  try {
+    return bench_main(argc, argv);
+  } catch (const std::exception& e) {
+    std::string_view name = argc > 0 ? argv[0] : "bench";
+    name.remove_prefix(name.rfind('/') + 1);
+    std::cerr << name << ": " << e.what() << '\n';
+    return 1;
+  }
+}

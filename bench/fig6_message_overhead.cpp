@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "experiment/figures.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace realtor;
   const Flags flags(argc, argv);
   const auto config = experiment::scenario_from_flags(flags);

@@ -11,12 +11,13 @@
 #include <iostream>
 
 #include "agile/cluster.hpp"
+#include "bench_common.hpp"
 #include "common/flags.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "proto/factory.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace realtor;
   const Flags flags(argc, argv);
   const auto lambdas = flags.get_double_list(

@@ -12,7 +12,7 @@
 #include "common/table.hpp"
 #include "experiment/simulation.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace realtor;
   const Flags flags(argc, argv);
   // High enough that losing 40% of the hosts overloads the survivors

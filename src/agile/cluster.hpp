@@ -164,7 +164,9 @@ class Cluster {
   /// go silent by stopping their reactor instead).
   net::Topology topology_;
   HostSinkRouter router_;
-  obs::Tracer tracer_;
+  /// Shared by every reactor thread, so its lineage ids come from an
+  /// atomic counter and stay unique across hosts.
+  obs::Tracer tracer_{obs::Tracer::IdMode::kShared};
   std::vector<std::unique_ptr<HostRuntime>> hosts_;
   std::unique_ptr<obs::live::LivePlane> live_;
   bool ran_ = false;

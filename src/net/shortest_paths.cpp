@@ -73,56 +73,13 @@ std::uint32_t ShortestPaths::hops(NodeId from, NodeId to) const {
   if (!topology_.alive(from) || !topology_.alive(to)) return kUnreachable;
   if (from == to) return 0;
   sync();
-  // The graph is undirected, so either endpoint's cached row holds the
-  // answer.
+  // The graph is undirected, so either endpoint's row holds the answer.
+  // With neither cached, `to`'s row is computed and kept: a HELP episode's
+  // PLEDGEs all travel back to its origin, so one row answers the episode.
   if (const auto it = rows_.find(from); it != rows_.end()) {
     return it->second[to];
   }
-  if (const auto it = rows_.find(to); it != rows_.end()) {
-    return it->second[from];
-  }
-  return point_search(from, to);
-}
-
-std::uint32_t ShortestPaths::point_search(NodeId from, NodeId to) const {
-  obs::ProfileScope scope("net/shortest_paths_bfs");
-  const NodeId n = topology_.num_nodes();
-  if (++epoch_ == 0 || marks_[0].size() != n) {
-    // First search or a wrapped epoch: every old mark must read as
-    // unvisited again.
-    for (std::vector<std::uint32_t>& side : marks_) side.assign(n, 0);
-    epoch_ = 1;
-  }
-  const std::uint32_t epoch = epoch_;
-  std::vector<NodeId>* const frontiers[2] = {&frontier_, &back_frontier_};
-  std::uint32_t depths[2] = {0, 0};
-  marks_[0][from] = epoch;
-  marks_[1][to] = epoch;
-  frontier_.assign(1, from);
-  back_frontier_.assign(1, to);
-  while (!frontier_.empty() && !back_frontier_.empty()) {
-    // Expand the smaller frontier by one whole level.
-    const int side = back_frontier_.size() < frontier_.size() ? 1 : 0;
-    std::uint32_t* const mine = marks_[side].data();
-    const std::uint32_t* const theirs = marks_[1 - side].data();
-    const std::uint32_t depth = ++depths[side];
-    next_frontier_.clear();
-    for (const NodeId u : *frontiers[side]) {
-      for (const NodeId v : topology_.neighbors(u)) {
-        if (!topology_.alive(v)) continue;
-        // The first touch is a shortest path, and `v` lies on the other
-        // side's last level: no node was marked by both sides before this
-        // level, so every node the other side reached earlier has all its
-        // neighbors marked by that side, none of them on this frontier.
-        if (theirs[v] == epoch) return depth + depths[1 - side];
-        if (mine[v] == epoch) continue;
-        mine[v] = epoch;
-        next_frontier_.push_back(v);
-      }
-    }
-    frontiers[side]->swap(next_frontier_);
-  }
-  return kUnreachable;
+  return row_for(to)[from];
 }
 
 const std::uint32_t* ShortestPaths::row(NodeId src) const {

@@ -11,13 +11,14 @@
 //     paper-config runs never enable).
 //   * Components. connected() and reachable() read component labels that
 //     one pass over the alive subgraph computes per topology version.
-//   * Point queries. hops(a, b) answers from a cached row of either
-//     endpoint (the graph is undirected); otherwise it runs a
-//     bidirectional BFS that stops on the first level where the two
-//     frontiers meet, or as soon as either frontier empties. Its visit
-//     marks are epoch-stamped, so a query never pays O(N) to reset them,
-//     and it caches nothing: exact-hop unicasts rotate over far more
-//     sources than any row cache holds.
+//   * Pairs. hops(a, b) answers from a cached row of either endpoint
+//     (the graph is undirected); with neither cached it computes and
+//     caches b's row. In the pull protocols exact-hop unicasts are mostly
+//     the PLEDGEs of one HELP episode, all addressed to the episode's
+//     origin, so one row per episode answers them all (a traced 30x30
+//     REALTOR attack run makes about one search per thousand unicasts).
+//     Unicasts without a shared endpoint, such as gossip's digests to
+//     random peers, pay one whole-graph BFS each.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +38,8 @@ class ShortestPaths {
   explicit ShortestPaths(const Topology& topology);
 
   /// Hop count between alive nodes; kUnreachable if disconnected or if
-  /// either endpoint is dead. A point query: never caches a row.
+  /// either endpoint is dead. Answers from either endpoint's cached row;
+  /// with neither cached, computes and caches `to`'s row.
   std::uint32_t hops(NodeId from, NodeId to) const;
 
   /// Distance row for `src` (indexable by destination, num_nodes wide).
@@ -81,8 +83,6 @@ class ShortestPaths {
   void bfs(NodeId src, std::vector<std::uint32_t>& dist) const;
   /// Returns the cached row for `src`, computing it if absent.
   const std::vector<std::uint32_t>& row_for(NodeId src) const;
-  /// Bidirectional BFS between distinct alive nodes; caches nothing.
-  std::uint32_t point_search(NodeId from, NodeId to) const;
   /// Labels the components of the alive subgraph, once per version.
   void ensure_components() const;
   void ensure_stats() const;
@@ -112,18 +112,9 @@ class ShortestPaths {
   NodeId sampling_min_nodes_ = 2500;
   NodeId sampling_sources_ = 64;
 
-  // Scratch for BFS frontiers; reused across queries. The point search
-  // uses frontier_ for the side at `from`, back_frontier_ for the side at
-  // `to`, and next_frontier_ for the level being built.
+  // Scratch for BFS frontiers; reused across queries.
   mutable std::vector<NodeId> frontier_;
-  mutable std::vector<NodeId> back_frontier_;
   mutable std::vector<NodeId> next_frontier_;
-
-  /// Point-search marks from the `from` side ([0]) and the `to` side
-  /// ([1]): side s has reached node v iff marks_[s][v] == epoch_. Never
-  /// cleared between searches; only an epoch_ wrap resets them.
-  mutable std::vector<std::uint32_t> marks_[2];
-  mutable std::uint32_t epoch_ = 0;
 };
 
 }  // namespace realtor::net

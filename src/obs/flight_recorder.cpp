@@ -25,9 +25,9 @@ std::vector<std::string> NameTable::snapshot() const {
   return names_;
 }
 
-// The slots are raw storage from operator new, not a vector<TraceEvent>:
+// The slots are raw storage from operator new, not a vector<Slot>:
 // value-initialising every slot would write (and so commit) capacity ×
-// 216 bytes up front, although a run may fill only a fraction of the
+// 80 bytes up front, although a run may fill only a fraction of the
 // ring. Untouched, a large allocation (a fresh mapping) is committed page
 // by page as records land; a small one reuses the heap like any other. A
 // private mmap per ring would commit lazily at every size, but measured
@@ -38,51 +38,82 @@ FlightRing::FlightRing(std::uint64_t source, std::size_t capacity,
     : source_(source),
       names_(names),
       capacity_(capacity == 0 ? 1 : capacity),
-      slots_(static_cast<TraceEvent*>(
-          ::operator new(capacity_ * sizeof(TraceEvent)))),
-      thread_safe_(thread_safe) {}
+      slots_(static_cast<Slot*>(::operator new(capacity_ * sizeof(Slot)))),
+      thread_safe_(thread_safe),
+      layouts_(1) {
+  layouts_[0].count = kMaxTraceFields + 1;
+}
 
 FlightRing::~FlightRing() { ::operator delete(slots_); }
 
 namespace {
 
-// The entire hot path: copy the event header plus only the fields it
-// carries into the slot. Two compile-time sizes so the copies inline to
-// straight wide moves — a runtime-length memcpy would cost a libc
-// dispatch per event. ≤3 fields (96 bytes) covers the lifecycle and
-// sampler sites; the message plane's episode/id/cause lineage makes six
-// fields the most common count in an attack run (72% of records in a
-// 40×40 one), and those copy the full 216 bytes. A ≤6-field tier (168
-// bytes) was measured and did not lower the recorder's overhead, so it
-// is not here. Bytes past the copy keep a previous occupant's data;
-// snapshot() never reads past field_count.
-inline void copy_event(const TraceEvent& event, TraceEvent& slot) {
-  constexpr std::size_t kSmall =
-      offsetof(TraceEvent, fields) + 3 * sizeof(TraceField);
-  if (event.field_count <= 3) {
-    std::memcpy(static_cast<void*>(&slot), &event, kSmall);
-  } else {
-    std::memcpy(static_cast<void*>(&slot), &event, sizeof(TraceEvent));
-  }
+/// The eight bytes of a field's value, whichever member with() wrote.
+inline std::uint64_t value_bits(const TraceField& field) {
+  static_assert(sizeof(field.u) == 8 && sizeof(field.s) <= 8);
+  std::uint64_t bits;
+  std::memcpy(&bits, &field.u, sizeof bits);
+  return bits;
 }
 
 }  // namespace
 
-void FlightRing::on_event(const TraceEvent& event) {
+// The entire hot path. The value bits are copied while the event's keys
+// and types are compared against the layout its kind had last time; only
+// a site the ring has not seen under this kind looks further.
+inline void FlightRing::store(const TraceEvent& event) {
+  Slot& slot = slots_[cursor_];
+  const std::uint32_t count = event.field_count;
+  std::uint16_t& cached = last_layout_[static_cast<std::uint8_t>(event.kind)];
+  const Layout& layout = layouts_[cached];
+  std::uintptr_t diff = layout.count ^ count;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const TraceField& field = event.fields[i];
+    diff |= (reinterpret_cast<std::uintptr_t>(layout.keys[i]) ^
+             reinterpret_cast<std::uintptr_t>(field.key)) |
+            static_cast<std::uintptr_t>(static_cast<std::uint8_t>(
+                layout.types[i]) ^ static_cast<std::uint8_t>(field.type));
+    slot.bits[i] = value_bits(field);
+  }
+  if (diff != 0) [[unlikely]] cached = intern_layout(event);
+  slot.time = event.time;
+  slot.node = event.node;
+  slot.layout = cached;
+  slot.kind = event.kind;
   // cursor_ == head_ mod capacity, maintained by wrapping instead of the
   // u64 division a `head % size` would cost on every event.
-  if (thread_safe_) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    copy_event(event, slots_[cursor_]);
-    if (++cursor_ == capacity_) cursor_ = 0;
-    head_.store(head_.load(std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
-    return;
-  }
-  copy_event(event, slots_[cursor_]);
   if (++cursor_ == capacity_) cursor_ = 0;
   head_.store(head_.load(std::memory_order_relaxed) + 1,
               std::memory_order_relaxed);
+}
+
+std::uint16_t FlightRing::intern_layout(const TraceEvent& event) {
+  Layout wanted;
+  wanted.count = event.field_count;
+  for (std::uint32_t i = 0; i < event.field_count; ++i) {
+    wanted.keys[i] = event.fields[i].key;
+    wanted.types[i] = event.fields[i].type;
+  }
+  for (std::size_t id = 1; id < layouts_.size(); ++id) {
+    const Layout& layout = layouts_[id];
+    if (layout.count == wanted.count && layout.keys == wanted.keys &&
+        layout.types == wanted.types) {
+      return static_cast<std::uint16_t>(id);
+    }
+  }
+  REALTOR_ASSERT_MSG(layouts_.size() <= 0xFFFF,
+                     "flight layout table overflow");
+  layouts_.push_back(wanted);
+  return static_cast<std::uint16_t>(layouts_.size() - 1);
+}
+
+void FlightRing::on_event(const TraceEvent& event) {
+  if (thread_safe_) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    store(event);
+    return;
+  }
+  store(event);
 }
 
 namespace {
@@ -142,10 +173,23 @@ FlightRingInfo FlightRing::snapshot(std::vector<FlightRecord>& out) const {
   // One name-table lock for the whole ring; packing in ring order keeps
   // the first-encounter id order, and with it the dump's bytes, fixed.
   NameTable::Session names(names_);
-  std::uint64_t slot = info.dropped % capacity;
+  TraceEvent event;
+  std::uint64_t index = info.dropped % capacity;
   for (FlightRecord& record : out) {
-    pack(slots_[slot], names, record);
-    if (++slot == capacity) slot = 0;
+    const Slot& slot = slots_[index];
+    const Layout& layout = layouts_[slot.layout];
+    event.time = slot.time;
+    event.node = slot.node;
+    event.kind = slot.kind;
+    event.field_count = layout.count;
+    for (std::uint32_t i = 0; i < layout.count; ++i) {
+      TraceField& field = event.fields[i];
+      field.key = layout.keys[i];
+      field.type = layout.types[i];
+      std::memcpy(&field.u, &slot.bits[i], sizeof field.u);
+    }
+    pack(event, names, record);
+    if (++index == capacity) index = 0;
   }
   return info;
 }

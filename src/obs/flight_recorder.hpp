@@ -3,26 +3,31 @@
 // JSONL tracing makes every run inspectable but costs a string format and
 // a stream write per event — far too much to leave enabled at the 10k-node
 // scale. The flight recorder is the cheap alternative that can stay on:
-// each source (one per simulation, one per agile host) copies raw trace
-// events into a bounded ring that overwrites its oldest entries, so
-// steady-state cost is one bounded memcpy per event (header plus only the
-// fields the event carries) and memory stays capped at capacity × slot
-// size (216 bytes). The slots are uninitialised storage, so making a ring
-// touches none of them: a large ring's pages are committed as records
-// land, and a run that records fewer events than the capacity never pays
-// for the rest. When something interesting happens (an attack wave, end
-// of run) the rings are packed into canonical fixed-width records and
-// dumped to a compact binary file that flight_reader.hpp converts back
-// into the exact event model the JSONL pipeline produces — realtor_trace,
-// the span builder and the invariant checker run unchanged on dumps.
+// each source (one per simulation, one per agile host) stores raw trace
+// events into a bounded ring that overwrites its oldest entries, and
+// memory stays capped at capacity × 80 bytes. A slot is a 16-byte header
+// {f64 time, u32 node, u16 layout id, u8 kind, pad} plus each field's
+// 8-byte value bits; the field count, key pointers and value types — the
+// event's layout, which the emission site fixes — are interned once per
+// ring, and a per-kind cache of the last layout seen makes the lookup a
+// compare of the keys and types the event carries. A six-field record,
+// the message plane's common shape, writes 64 bytes. The slots are
+// uninitialised storage, so making a ring touches none of them: a large
+// ring's pages are committed as records land, and a run that records
+// fewer events than the capacity never pays for the rest. When something
+// interesting happens (an attack wave, end of run) the rings are packed
+// into canonical fixed-width records and dumped to a compact binary file
+// that flight_reader.hpp converts back into the exact event model the
+// JSONL pipeline produces — realtor_trace, the span builder and the
+// invariant checker run unchanged on dumps.
 //
 // No strings and no hashing on the hot path: payload keys and string
 // values are const char* pointers to static storage (the TraceField
-// contract), so the ring stores the pointers as-is and defers interning
-// them into the dump's shared name table (16-bit ids, written once into
-// the header) to dump time.
+// contract), so layouts hold the key pointers and slots the string
+// pointers as-is, and interning them into the dump's shared name table
+// (16-bit ids, written once into the header) waits for dump time.
 //
-// Record layout (native-endian, fixed width):
+// Dump format (native-endian, fixed width):
 //   FileHeader   magic "RLTRFLT1", name table, ring count
 //   per ring     source id, recorded / dropped / stored counters,
 //                `stored` Records oldest → newest
@@ -114,20 +119,25 @@ struct FlightRingInfo {
 };
 
 /// Fixed-capacity overwrite-oldest ring behind the TraceSink interface.
-/// The hot path is "record now, understand later": on_event() copies the
-/// raw TraceEvent (header plus the fields it actually carries — pointers
-/// to static strings stay pointers) into the next slot and bumps a
-/// counter. The slot array is allocated, never constructed: a slot is
-/// first written by the event that lands in it, and snapshot() reads only
-/// slots that hold a record. Interning, episode lifting and canonical
-/// FlightRecord packing all happen at snapshot()/dump() time, which runs
-/// once per attack or exit rather than once per event; a snapshot holds
-/// the ring's mutex (thread-safe rings) and the name table's lock once for
-/// the whole ring. Single-writer by default (the deterministic
-/// simulation); pass thread_safe=true when the writer and the dumper are
-/// different threads (agile: reactor threads write, the driver dumps).
+/// The hot path is "record now, understand later": on_event() writes the
+/// event's header, layout id and value bits (pointers to static strings
+/// stay pointers) into the next slot and bumps a counter. The slot array
+/// is allocated, never constructed: a slot is first written by the event
+/// that lands in it, and snapshot() reads only slots that hold a record.
+/// Interning names, episode lifting and canonical FlightRecord packing
+/// all happen at snapshot()/dump() time, which runs once per attack or
+/// exit rather than once per event: snapshot() rebuilds each event from
+/// its slot and layout and packs it. A snapshot holds the ring's mutex
+/// (thread-safe rings) and the name table's lock once for the whole ring.
+/// Single-writer by default (the deterministic simulation); pass
+/// thread_safe=true when the writer and the dumper are different threads
+/// (agile: reactor threads write, the cluster thread dumps). A thread-safe
+/// ring interns layouts under the mutex its writers already hold.
 class FlightRing final : public TraceSink {
  public:
+  /// Bytes one slot takes: 16-byte header plus kMaxTraceFields value bits.
+  static constexpr std::size_t kSlotBytes = 16 + 8 * kMaxTraceFields;
+
   FlightRing(std::uint64_t source, std::size_t capacity, NameTable& names,
              bool thread_safe = false);
   ~FlightRing() override;
@@ -152,14 +162,39 @@ class FlightRing final : public TraceSink {
   FlightRingInfo snapshot(std::vector<FlightRecord>& out) const;
 
  private:
+  /// What an emission site fixes: field count, key pointers, value types.
+  /// Entries past `count` stay zero, so a compare may read all of them.
+  struct Layout {
+    std::uint32_t count = 0;
+    std::array<const char*, kMaxTraceFields> keys{};
+    std::array<TraceField::Type, kMaxTraceFields> types{};
+  };
+  struct Slot {
+    double time;
+    NodeId node;
+    std::uint16_t layout;
+    EventKind kind;
+    std::uint64_t bits[kMaxTraceFields];  // entries [0, layout count) set
+  };
+  static_assert(sizeof(Slot) == kSlotBytes);
+
+  void store(const TraceEvent& event);
+  /// Id of `event`'s layout, interned on first sight.
+  std::uint16_t intern_layout(const TraceEvent& event);
+
   std::uint64_t source_;
   NameTable& names_;
   std::size_t capacity_;
-  TraceEvent* slots_;  // uninitialised; a slot is written before it is read
+  Slot* slots_;  // uninitialised; a slot is written before it is read
   std::atomic<std::uint64_t> head_{0};
   std::size_t cursor_ = 0;  // head_ mod capacity, wrap-maintained
   bool thread_safe_;
   mutable std::mutex mutex_;  // used only when thread_safe_
+  /// Interned layouts; entry 0 is a sentinel no event matches (its count
+  /// is out of range), so an empty cache entry needs no check of its own.
+  std::vector<Layout> layouts_;
+  /// Per event kind, the layout id its last event had.
+  std::array<std::uint16_t, 256> last_layout_{};
 };
 
 /// A set of rings sharing one name table, dumpable as one file.

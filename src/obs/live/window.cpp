@@ -44,27 +44,37 @@ SlidingWindow::SlidingWindow(SimTime span, std::size_t buckets,
 }
 
 void SlidingWindow::advance(SimTime now) {
+  // Most calls come from observe() inside the newest bucket; they return
+  // here without the division.
+  if (now < next_edge_) return;
   const std::int64_t target =
       static_cast<std::int64_t>(std::floor(now / bucket_span_));
   if (target <= current_) return;
   // Clear every bucket the window slid past; a long quiet gap clears the
   // whole ring at most once.
-  const std::int64_t stale =
-      std::min<std::int64_t>(target - current_,
-                             static_cast<std::int64_t>(ring_.size()));
+  const std::int64_t size = static_cast<std::int64_t>(ring_.size());
+  const std::int64_t stale = std::min<std::int64_t>(target - current_, size);
   for (std::int64_t i = 0; i < stale; ++i) {
-    ring_[static_cast<std::size_t>((target - i) %
-                                   static_cast<std::int64_t>(ring_.size()))]
-        .clear();
+    ring_[static_cast<std::size_t>((target - i) % size)].clear();
   }
   current_ = target;
+  newest_ = static_cast<std::size_t>(target % size);
+  // Times before next_edge_ skip the division above. Step the product
+  // down until the time just below it maps to `target` or lower:
+  // division rounds monotonically, so every earlier time does too.
+  const double last = static_cast<double>(target);
+  double edge = (last + 1.0) * bucket_span_;
+  for (double below = std::nextafter(edge, 0.0);
+       std::floor(below / bucket_span_) > last;
+       below = std::nextafter(edge, 0.0)) {
+    edge = below;
+  }
+  next_edge_ = edge;
 }
 
 void SlidingWindow::observe(SimTime now, double value) {
   advance(now);
-  ring_[static_cast<std::size_t>(current_ %
-                                 static_cast<std::int64_t>(ring_.size()))]
-      .observe(value);
+  ring_[newest_].observe(value);
 }
 
 WindowSnapshot SlidingWindow::snapshot() const {

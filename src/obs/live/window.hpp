@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/types.hpp"
@@ -85,6 +86,11 @@ class SlidingWindow {
   /// Global index (floor(now / bucket_span)) of the newest bucket; -1
   /// before the first advance.
   std::int64_t current_ = -1;
+  /// ring_ slot of the newest bucket (current_ mod the ring size).
+  std::size_t newest_ = 0;
+  /// First time past the newest bucket: advance() returns before its
+  /// division for any earlier time.
+  SimTime next_edge_ = -std::numeric_limits<double>::infinity();
 };
 
 /// The last N observations, oldest overwritten first.

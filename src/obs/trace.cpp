@@ -86,12 +86,9 @@ bool parse_event_kind(std::string_view name, EventKind& out) {
   return false;
 }
 
-TraceField& TraceEvent::next(const char* key) {
-  REALTOR_ASSERT_MSG(field_count < kMaxTraceFields,
-                     "trace event payload too large");
-  TraceField& field = fields[field_count++];
-  field.key = key;
-  return field;
+void TraceEvent::payload_too_large() {
+  detail::assertion_failure("field_count < kMaxTraceFields", __FILE__,
+                            __LINE__, "trace event payload too large");
 }
 
 std::size_t MemorySink::count(EventKind kind) const {

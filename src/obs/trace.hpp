@@ -12,6 +12,11 @@
 // a trivially copyable stack value whose payload holds only numbers and
 // pointers to static strings — building and emitting an event never
 // allocates. Benchmarks therefore pay one predictable branch per site.
+// A traced site pays for what it writes: each with() is inlined to a
+// bounds check plus three stores (the overflow abort is out of line), one
+// virtual call hands the event to the sink, and a lineage id is a plain
+// increment unless the tracer was built for several emitting threads
+// (Tracer::IdMode::kShared, the agile cluster).
 #pragma once
 
 #include <array>
@@ -142,6 +147,7 @@ struct TraceEvent {
     TraceField& field = next(key);
     if constexpr (std::is_same_v<T, bool>) {
       field.type = TraceField::Type::kBool;
+      field.u = 0;  // all eight value bytes defined, as for the other types
       field.b = value;
     } else if constexpr (std::is_integral_v<T> || std::is_enum_v<T>) {
       field.type = TraceField::Type::kUint;
@@ -159,7 +165,13 @@ struct TraceEvent {
   }
 
  private:
-  TraceField& next(const char* key);
+  TraceField& next(const char* key) {
+    if (field_count >= kMaxTraceFields) [[unlikely]] payload_too_large();
+    TraceField& field = fields[field_count++];
+    field.key = key;
+    return field;
+  }
+  [[noreturn]] static void payload_too_large();
 };
 
 static_assert(std::is_trivially_copyable_v<TraceEvent>,
@@ -215,16 +227,30 @@ class Tracer {
     if (sink_ != nullptr) sink_->flush();
   }
 
+  /// How issue_id() hands out lineage ids. kSingleWriter (the default,
+  /// one per Simulation) loads and stores the counter: the simulation
+  /// emits from one thread and must not pay a locked read-modify-write
+  /// per message event. kShared uses fetch_add, for a tracer that several
+  /// threads emit through (the agile cluster's reactors).
+  enum class IdMode : std::uint8_t { kSingleWriter, kShared };
+
+  Tracer() = default;
+  explicit Tracer(IdMode ids) : shared_ids_(ids == IdMode::kShared) {}
+
   /// Allocates the next lineage event id (1-based; 0 means "no lineage").
   /// Events that produce messages carry their id in an "id" payload field,
   /// and the message carries it as its cause_id, so receive-side events can
   /// point back at their producer and episodes form an explicit causality
   /// DAG. The counter is per-Tracer (one per Simulation), so sweeps stay
   /// byte-identical across --jobs values; callers only allocate on traced
-  /// paths, so untraced runs never touch it. Atomic (relaxed) for the
-  /// threaded Agile runtime.
+  /// paths, so untraced runs never touch it.
   std::uint64_t issue_id() {
-    return next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (shared_ids_) {
+      return next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
+    }
+    const std::uint64_t id = next_id_.load(std::memory_order_relaxed) + 1;
+    next_id_.store(id, std::memory_order_relaxed);
+    return id;
   }
   /// Lineage ids allocated so far (the last id handed out).
   std::uint64_t issued_ids() const {
@@ -233,6 +259,7 @@ class Tracer {
 
  private:
   TraceSink* sink_ = nullptr;
+  bool shared_ids_ = false;
   std::atomic<std::uint64_t> next_id_{0};
 };
 

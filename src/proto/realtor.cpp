@@ -51,8 +51,9 @@ void RealtorProtocol::on_status_change(double occupancy) {
   } else {
     membership_.prune(now());
   }
+  const std::uint32_t communities = membership_.count(now());
   for (const NodeId organizer : membership_.active_organizers(now())) {
-    send_pledge_to(organizer, occupancy);
+    send_pledge_to(organizer, occupancy, communities);
     ++unsolicited_pledges_;
   }
 }
@@ -130,23 +131,28 @@ void RealtorProtocol::handle_help(const HelpMsg& help) {
   }
   if (!answered) return;
   const bool was_member = membership_.is_member_of(help.origin, now());
-  membership_.note_refresh_answered(help.origin, now());
-  if (!was_member && tracing() &&
-      membership_.is_member_of(help.origin, now())) {
+  // A refresh that returns true leaves us a member of the organizer's
+  // community, so the join needs no second lookup, and the pledge's
+  // community count is the one the join record reports.
+  const bool member = membership_.note_refresh_answered(help.origin, now());
+  const std::uint32_t communities = membership_.count(now());
+  if (!was_member && member && tracing()) {
     trace(trace_event(obs::EventKind::kCommunityJoin)
               .with("organizer", help.origin)
-              .with("communities", membership_.count(now())));
+              .with("communities", communities));
   }
-  send_pledge_to(help.origin, occupancy, help.episode, received_id);
+  send_pledge_to(help.origin, occupancy, communities, help.episode,
+                 received_id);
 }
 
 void RealtorProtocol::send_pledge_to(NodeId organizer, double occupancy,
+                                     std::uint32_t communities,
                                      std::uint64_t episode,
                                      std::uint64_t cause) {
   PledgeMsg pledge;
   pledge.pledger = self_;
   pledge.availability = 1.0 - occupancy;
-  pledge.community_count = membership_.count(now());
+  pledge.community_count = communities;
   pledge.grant_probability = algo_p_.grant_probability(now());
   pledge.security_level = local_security();
   pledge.episode = episode;

@@ -50,12 +50,14 @@ class RealtorProtocol final : public DiscoveryProtocol {
   void send_help(double urgency);
   void handle_help(const HelpMsg& help);
   void handle_pledge(const PledgeMsg& pledge);
+  /// `communities` is the live membership count the pledge reports.
   /// `episode` is the id of the HELP round this pledge answers; 0 for the
   /// unsolicited threshold-crossing updates of Fig. 3's second rule.
   /// `cause` is the lineage id of the help_received event that triggered
   /// this pledge (0 for unsolicited pledges / untraced runs).
   void send_pledge_to(NodeId organizer, double occupancy,
-                      std::uint64_t episode = 0, std::uint64_t cause = 0);
+                      std::uint32_t communities, std::uint64_t episode = 0,
+                      std::uint64_t cause = 0);
   /// Emits a help_interval record attributing the change to `reason`
   /// ("timeout" / "reward"); no-op when untraced.
   void trace_interval(const char* reason) const;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdint>
 #include <map>
 #include <sstream>
@@ -15,6 +16,8 @@
 #include "agile/cluster.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/event_store.hpp"
+#include "obs/flight_reader.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "proto/factory.hpp"
 
@@ -330,6 +333,46 @@ TEST(ClusterTrace, LineageIdsAreUniqueAcrossHosts) {
         << "cause " << cause << " of event " << i << " names no id";
   }
   EXPECT_GT(causes, 0u);
+}
+
+TEST(ClusterTrace, LineageIdsAreUniqueAcrossPerHostRings) {
+  // The flight-recorder shape: each host's reactor writes its own
+  // thread-safe ring, so nothing serialises the hosts' id allocations but
+  // the cluster tracer itself. Every id in the merged dump is unique.
+  const std::string path = ::testing::TempDir() + "cluster_ids_flight.bin";
+  ClusterConfig config = small_config(9.0);
+  config.num_hosts = 8;
+  config.model_duration = 40.0;
+  obs::FlightRecorder recorder(1 << 16);
+  config.trace_sink_factory = [&recorder](NodeId id) -> obs::TraceSink* {
+    return &recorder.ring(id, /*thread_safe=*/true);
+  };
+  {
+    Cluster cluster(config);
+    const ClusterMetrics m = cluster.run();
+    EXPECT_GT(m.pledges, 0u);
+  }
+  EXPECT_EQ(recorder.total_dropped(), 0u);
+  std::string error;
+  ASSERT_TRUE(recorder.dump(path, &error)) << error;
+  obs::EventStore store;
+  obs::FlightStoreInfo info;
+  obs::TraceLoadStats stats;
+  ASSERT_TRUE(obs::load_flight_file(path, store, info, stats, &error))
+      << error;
+  std::remove(path.c_str());
+
+  std::unordered_set<std::uint64_t> ids;
+  std::unordered_set<NodeId> stamping_hosts;
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    const auto id = static_cast<std::uint64_t>(store[i].number("id"));
+    if (id == 0) continue;
+    EXPECT_TRUE(ids.insert(id).second)
+        << "duplicate lineage id " << id << " at event " << i;
+    stamping_hosts.insert(store[i].node());
+  }
+  EXPECT_GT(ids.size(), 100u);
+  EXPECT_GT(stamping_hosts.size(), 1u);
 }
 
 TEST(ClusterTrace, SetupBeforeRunDoesNotShiftModelTime) {

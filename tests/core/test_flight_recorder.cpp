@@ -11,6 +11,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -224,11 +225,11 @@ TEST(FlightRecorder, GoldenDumpBytes) {
 }
 
 // The slots are uninitialised storage: making a ring commits none of its
-// 216-byte slots (a value-initialised 2^20-slot ring faults in ~55,000
+// 80-byte slots (a value-initialised 2^20-slot ring faults in ~20,000
 // pages before the first event).
 TEST(FlightRing, ConstructionCommitsNoSlotPages) {
   constexpr std::size_t kSlots = std::size_t{1} << 20;
-  constexpr std::size_t kBytes = kSlots * sizeof(TraceEvent);
+  constexpr std::size_t kBytes = kSlots * FlightRing::kSlotBytes;
   const auto minor_faults = [] {
     rusage usage{};
     getrusage(RUSAGE_SELF, &usage);
@@ -280,6 +281,172 @@ TEST(FlightRecorder, LargeUnderfilledRingDumpsLikeASmallOne) {
   EXPECT_EQ(slurp(large_path), small_bytes);
   std::remove(small_path.c_str());
   std::remove(large_path.c_str());
+}
+
+std::string hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto byte = static_cast<unsigned char>(c);
+    out += kDigits[byte >> 4];
+    out += kDigits[byte & 15];
+  }
+  return out;
+}
+
+/// Two kinds, each emitted in two layouts and interleaved, the way the
+/// simulation and the cluster emit task_admit_migrated (6 and 2 fields)
+/// and the protocols emit node_sample (3 and 5, the 3-field layout a
+/// prefix of the 5-field one): every event flips its kind's layout. The
+/// last event repeats the 3-field node_sample keys with one type changed.
+/// Eleven events wrap a six-slot ring.
+void record_two_layout_sequence(FlightRing& ring) {
+  static constexpr const char* kTask = "task";
+  static constexpr const char* kTarget = "target";
+  static constexpr const char* kAttempts = "attempts";
+  static constexpr const char* kEpisode = "episode";
+  static constexpr const char* kId = "id";
+  static constexpr const char* kCause = "cause";
+  static constexpr const char* kOccupancy = "occupancy";
+  static constexpr const char* kQueued = "queued";
+  static constexpr const char* kState = "state";
+  static constexpr const char* kPledges = "pledges";
+  static constexpr const char* kOrganizer = "organizer";
+  static constexpr const char* kStates[] = {"idle", "busy", "overloaded"};
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    const double t = 0.25 * static_cast<double>(i);
+    const auto node = static_cast<NodeId>(i % 4);
+    if (i % 2 == 0) {
+      TraceEvent event(t, node, EventKind::kTaskAdmitMigrated);
+      event.with(kTask, 100 + i);
+      if (i % 4 == 0) {
+        event.with(kTarget, i + 1)
+            .with(kAttempts, i % 3 + 1)
+            .with(kEpisode, 10 + i)
+            .with(kId, 20 + i)
+            .with(kCause, 19 + i);
+      } else {
+        event.with(kEpisode, 10 + i);
+      }
+      ring.on_event(event);
+    } else {
+      TraceEvent event(t, node, EventKind::kNodeSample);
+      event.with(kOccupancy, 0.125 * static_cast<double>(i))
+          .with(kQueued, i)
+          .with(kState, kStates[i % 3]);
+      if (i % 4 == 3) event.with(kPledges, 3 * i).with(kOrganizer, i > 4);
+      ring.on_event(event);
+    }
+  }
+  TraceEvent retyped(2.5, 1, EventKind::kNodeSample);
+  retyped.with(kOccupancy, std::uint64_t{1}).with(kQueued, 9).with(kState,
+                                                                   "idle");
+  ring.on_event(retyped);
+}
+
+// Interleaved layouts of one kind must come back from the ring each with
+// its own keys, types and values, across an overwrite wrap. The literal
+// is the dump of this sequence from the recorder that copied whole
+// TraceEvents into its slots.
+TEST(FlightRing, InterleavedLayoutsOfOneKindDumpExactly) {
+  const std::string path = temp_path("flight_two_layouts.bin");
+  FlightRecorder recorder(/*capacity_per_ring=*/6);
+  record_two_layout_sequence(recorder.ring(5));
+  ASSERT_EQ(recorder.total_dropped(), 5u);
+  ASSERT_TRUE(recorder.dump(path));
+  EXPECT_EQ(hex(slurp(path)),
+            "524c5452464c54310e00000009006f63637570616e6379060071756575656405"
+            "0073746174650a006f7665726c6f6164656404007461736b0700657069736f64"
+            "650400627573790700706c656467657309006f7267616e697a65720600746172"
+            "6765740800617474656d7074730200696405006361757365040069646c650100"
+            "000005000000000000000b000000000000000500000000000000060000000000"
+            "0000000000000000f43f0000000000000000010000001a030000000000000000"
+            "e43f000002000000000005000000000000000100010000000000030000000000"
+            "0000020003000000000000000000000000000000000000000000000000000000"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "f83f1000000000000000020000000d0200006a00000000000000040001000000"
+            "0000100000000000000005000100000000000000000000000000000000000000"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "000000000000000000000000000000000000000000000000fc3f000000000000"
+            "0000030000001a050000000000000000ec3f0000020000000000070000000000"
+            "0000010001000000000006000000000000000200030000000000150000000000"
+            "0000070001000000000001000000000000000800040000000000000000000000"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "0000000000000000000000000000000000401200000000000000000000000d06"
+            "00006c0000000000000004000100000000000900000000000000090001000000"
+            "000003000000000000000a000100000000001200000000000000050001000000"
+            "00001c000000000000000b000100000000001b000000000000000c0001000000"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "000000000000000002400000000000000000010000001a030000000000000000"
+            "f23f0000020000000000090000000000000001000100000000000d0000000000"
+            "0000020003000000000000000000000000000000000000000000000000000000"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "04400000000000000000010000001a0300000100000000000000000001000000"
+            "0000090000000000000001000100000000000d00000000000000020003000000"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "000000000000000000000000000000000000");
+  std::remove(path.c_str());
+}
+
+// Four reactor-style writers on one thread-safe ring: every record lands
+// once, with its own layout, and the dump loads back.
+TEST(FlightRing, ThreadSafeRingDumpsEveryWriterRecord) {
+  const std::string path = temp_path("flight_four_writers.bin");
+  constexpr std::uint64_t kWriters = 4;
+  constexpr std::uint64_t kPerWriter = 2000;
+  FlightRecorder recorder(kWriters * kPerWriter);
+  FlightRing& ring = recorder.ring(1, /*thread_safe=*/true);
+  std::vector<std::thread> writers;
+  for (std::uint64_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&ring, w] {
+      for (std::uint64_t i = 0; i < kPerWriter; ++i) {
+        TraceEvent event(static_cast<double>(i), static_cast<NodeId>(w),
+                         EventKind::kNodeSample);
+        event.with("writer", w).with("seq", i);
+        if ((i + w) % 3 == 0) event.with("even", i % 2 == 0).with("w", 0.5);
+        ring.on_event(event);
+      }
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  ASSERT_TRUE(recorder.dump(path));
+
+  Dump dump;
+  std::string error;
+  ASSERT_TRUE(load_dump(path, dump, &error)) << error;
+  ASSERT_EQ(dump.events.size(), kWriters * kPerWriter);
+  EXPECT_EQ(dump.info.total_dropped(), 0u);
+  std::vector<std::vector<int>> seen(kWriters,
+                                     std::vector<int>(kPerWriter, 0));
+  for (std::size_t k = 0; k < dump.events.size(); ++k) {
+    const EventView event = dump.events[k];
+    const auto w = static_cast<std::uint64_t>(event.number("writer"));
+    const auto i = static_cast<std::uint64_t>(event.number("seq"));
+    ASSERT_LT(w, kWriters);
+    ASSERT_LT(i, kPerWriter);
+    ASSERT_EQ(event.node(), w);
+    ASSERT_DOUBLE_EQ(event.time(), static_cast<double>(i));
+    const bool wide = (i + w) % 3 == 0;
+    ASSERT_EQ(event.field_count(), wide ? 4u : 2u);
+    if (wide) {
+      const StoredField* even = event.find("even");
+      ASSERT_NE(even, nullptr);
+      ASSERT_EQ(even->type, FieldType::kBool);
+      ASSERT_EQ(even->boolean, i % 2 == 0);
+      ASSERT_DOUBLE_EQ(event.number("w"), 0.5);
+    }
+    ++seen[w][i];
+  }
+  for (std::uint64_t w = 0; w < kWriters; ++w) {
+    for (std::uint64_t i = 0; i < kPerWriter; ++i) {
+      ASSERT_EQ(seen[w][i], 1) << "writer " << w << " seq " << i;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(FlightRecorder, DumpReportsAFullDevice) {

@@ -3,6 +3,8 @@
 // rollup depends on.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -49,6 +51,40 @@ TEST(SlidingWindow, ExpiresObservationsPastSpan) {
   window.advance(100.0);
   EXPECT_EQ(window.snapshot().count, 0u);
   EXPECT_DOUBLE_EQ(window.snapshot().mean(), 0.0);
+}
+
+// advance() skips its division for times before the next bucket edge.
+// Observations one ulp either side of every edge, with a bucket span that
+// is not a binary fraction, must still land where floor(t / span) puts
+// them: for each probe time, a window fed every observation up to it
+// holds exactly the ones whose bucket is among the newest three.
+TEST(SlidingWindow, BucketEdgesMatchTheDivision) {
+  const double span = 1.0;
+  const std::size_t buckets = 3;
+  const double bucket_span = span / static_cast<double>(buckets);
+  std::vector<double> times;
+  for (int k = 1; k <= 12; ++k) {
+    const double edge = k * bucket_span;
+    times.push_back(std::nextafter(edge, 0.0));
+    times.push_back(edge);
+    times.push_back(std::nextafter(edge, 100.0));
+  }
+  const auto bucket = [bucket_span](double t) {
+    return static_cast<std::int64_t>(std::floor(t / bucket_span));
+  };
+  for (const double probe : times) {
+    SlidingWindow window(span, buckets);
+    std::uint64_t expected = 0;
+    for (const double t : times) {
+      if (t > probe) break;
+      window.observe(t, 1.0);
+      if (bucket(t) > bucket(probe) - static_cast<std::int64_t>(buckets)) {
+        ++expected;
+      }
+    }
+    window.advance(probe);
+    EXPECT_EQ(window.snapshot().count, expected) << "probe " << probe;
+  }
 }
 
 TEST(SlidingWindow, RateUsesElapsedBeforeFullSpan) {

@@ -140,13 +140,17 @@ TEST_F(ProfileTest, RenderTextListsEveryScopeOnce) {
 }
 
 // perfbench reads the shortest-path layer (net.bfs_calls, net.bfs_s) from
-// this scope; a point query timed anywhere else would be charged to its
-// caller's self time instead.
-TEST_F(ProfileTest, PointQueryRunsUnderTheShortestPathScope) {
+// this scope; a search timed anywhere else would be charged to its
+// caller's self time instead. One uncached hops() is one search, and it
+// caches the destination's row, so later pairs with either endpoint on
+// that row (the PLEDGEs of one HELP episode) search no more.
+TEST_F(ProfileTest, UncachedHopsIsOneShortestPathSearch) {
   const net::Topology mesh = net::make_mesh(6, 6);
   const net::ShortestPaths sp(mesh);
   Profiler::instance().set_enabled(true);
   EXPECT_EQ(sp.hops(0, 35), 10u);
+  EXPECT_EQ(sp.hops(7, 35), 8u);
+  EXPECT_EQ(sp.hops(35, 30), 5u);
   Profiler::instance().set_enabled(false);
   const std::string suffix = "net/shortest_paths_bfs";
   std::uint64_t calls = 0;

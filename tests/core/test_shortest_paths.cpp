@@ -75,7 +75,9 @@ TEST(ShortestPaths, PartitionDetected) {
 
 TEST(ShortestPaths, QueriesFollowLivenessFlips) {
   // One instance across a kill and a restore: every query resyncs on its
-  // own, cached rows included.
+  // own, cached rows included. row() goes first after the kill and hops()
+  // first after the restore, each while row 3 from before the flip is
+  // still cached, so a missing resync in either one fails here.
   Topology mesh = make_mesh(3, 3);
   const ShortestPaths sp(mesh);
   EXPECT_EQ(sp.row(3)[5], 2u);
@@ -85,8 +87,8 @@ TEST(ShortestPaths, QueriesFollowLivenessFlips) {
   EXPECT_EQ(sp.hops(3, 5), 4u);
   EXPECT_EQ(sp.hops(0, 4), kUnreachable);
   mesh.set_alive(4, true);
-  EXPECT_EQ(sp.row(3)[5], 2u);
   EXPECT_EQ(sp.hops(3, 5), 2u);
+  EXPECT_EQ(sp.row(3)[5], 2u);
   EXPECT_EQ(sp.hops(0, 4), 2u);
 }
 
@@ -163,10 +165,12 @@ TEST(ShortestPaths, StarIsTwoHopsBetweenLeaves) {
   EXPECT_EQ(sp.diameter(), 2u);
 }
 
-/// Every ordered pair's point query on one long-lived instance, checked
-/// against a fresh instance's full rows for the current liveness.
-void expect_point_queries_match_rows(const Topology& t, const ShortestPaths& sp,
-                                     int phase) {
+/// Every ordered pair's hops() on one long-lived instance, checked against
+/// a fresh instance's full rows for the current liveness. The long-lived
+/// instance answers from rows it cached for earlier pairs (and evicts
+/// them once 64 are held), so stale or wrongly indexed rows show here.
+void expect_hops_match_fresh_rows(const Topology& t, const ShortestPaths& sp,
+                                  int phase) {
   const NodeId n = t.num_nodes();
   std::vector<std::vector<std::uint32_t>> ref(n);
   {
@@ -184,10 +188,9 @@ void expect_point_queries_match_rows(const Topology& t, const ShortestPaths& sp,
       }
     }
   }
-  EXPECT_EQ(sp.connected(), all_alive_pairs_reachable) << "phase " << phase;
   for (NodeId a = 0; a < n; ++a) {
-    // Interleave row() so later queries find cached rows of either
-    // endpoint next to uncached ones.
+    // Interleave row() so later queries find rows cached by row() next to
+    // rows cached by hops() and uncached ones.
     if ((a + static_cast<NodeId>(phase)) % 3 == 0) {
       ASSERT_EQ(sp.row(a)[a], t.alive(a) ? 0u : kUnreachable);
     }
@@ -203,6 +206,9 @@ void expect_point_queries_match_rows(const Topology& t, const ShortestPaths& sp,
       }
     }
   }
+  // Last, so the first hops() of a phase meets the rows cached before
+  // the liveness change.
+  EXPECT_EQ(sp.connected(), all_alive_pairs_reachable) << "phase " << phase;
 }
 
 /// Kills each alive node with probability `p`.
@@ -212,7 +218,7 @@ void kill_random(Topology& t, RngStream& rng, double p) {
   }
 }
 
-TEST(ShortestPaths, PointQueriesMatchFullRows) {
+TEST(ShortestPaths, HopsMatchFreshRows) {
   struct Case {
     std::string name;
     Topology topology;
@@ -230,10 +236,10 @@ TEST(ShortestPaths, PointQueriesMatchFullRows) {
       RngStream rng(seed, "point-queries");
       const ShortestPaths sp(t);
       int phase = 0;
-      expect_point_queries_match_rows(t, sp, phase++);
+      expect_hops_match_fresh_rows(t, sp, phase++);
 
       kill_random(t, rng, 0.2);
-      expect_point_queries_match_rows(t, sp, phase++);
+      expect_hops_match_fresh_rows(t, sp, phase++);
 
       // Partition: cut every neighbor of one alive node away from it.
       const std::vector<NodeId> alive = t.alive_nodes();
@@ -247,16 +253,16 @@ TEST(ShortestPaths, PointQueriesMatchFullRows) {
       if (cut && t.alive_count() > 1) {
         EXPECT_FALSE(sp.connected());
       }
-      expect_point_queries_match_rows(t, sp, phase++);
+      expect_hops_match_fresh_rows(t, sp, phase++);
 
       // Liveness flip back: restore about half of the dead nodes.
       for (NodeId v = 0; v < t.num_nodes(); ++v) {
         if (!t.alive(v) && rng.bernoulli(0.5)) t.set_alive(v, true);
       }
-      expect_point_queries_match_rows(t, sp, phase++);
+      expect_hops_match_fresh_rows(t, sp, phase++);
 
       kill_random(t, rng, 0.45);
-      expect_point_queries_match_rows(t, sp, phase++);
+      expect_hops_match_fresh_rows(t, sp, phase++);
     }
   }
 }

@@ -68,6 +68,31 @@ TEST(Tracer, NullSinkIsInert) {
   EXPECT_EQ(sink.events().size(), 1u);
 }
 
+// Payloads are chosen statically at the emission site, so a ninth field
+// is a programming error that must abort, not a silent truncation.
+TEST(TraceEventDeathTest, NinthFieldAborts) {
+  EXPECT_DEATH(
+      {
+        TraceEvent event(1.0, 0, EventKind::kHelpSent);
+        for (std::uint64_t i = 0; i <= kMaxTraceFields; ++i) {
+          event.with("field", i);
+        }
+      },
+      "trace event payload too large");
+}
+
+TEST(Tracer, BothIdModesIssueOneBasedConsecutiveIds) {
+  for (const Tracer::IdMode mode :
+       {Tracer::IdMode::kSingleWriter, Tracer::IdMode::kShared}) {
+    Tracer tracer(mode);
+    EXPECT_EQ(tracer.issued_ids(), 0u);
+    EXPECT_EQ(tracer.issue_id(), 1u);
+    EXPECT_EQ(tracer.issue_id(), 2u);
+    EXPECT_EQ(tracer.issue_id(), 3u);
+    EXPECT_EQ(tracer.issued_ids(), 3u);
+  }
+}
+
 TEST(MemorySink, CountsAndFilters) {
   MemorySink sink;
   sink.on_event(TraceEvent(1.0, 0, EventKind::kHelpSent));

@@ -5,7 +5,11 @@
 // run.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -46,8 +50,9 @@ TraceEvent numbered(double time, std::uint64_t seq) {
 }
 
 TEST(FlightRing, KeepsNewestAndCountsDrops) {
-  NameTable names;
-  FlightRing ring(/*source=*/7, /*capacity=*/4, names);
+  const std::string path = temp_path("flight_keeps_newest.bin");
+  FlightRecorder recorder(/*capacity_per_ring=*/4);
+  FlightRing& ring = recorder.ring(/*source=*/7);
   for (std::uint64_t i = 0; i < 10; ++i) {
     ring.on_event(numbered(static_cast<double>(i), i));
   }
@@ -55,29 +60,40 @@ TEST(FlightRing, KeepsNewestAndCountsDrops) {
   EXPECT_EQ(ring.recorded(), 10u);
   EXPECT_EQ(ring.dropped(), 6u);
 
-  std::vector<FlightRecord> records;
-  const FlightRingInfo info = ring.snapshot(records);
+  ASSERT_TRUE(recorder.dump(path));
+  Dump dump;
+  std::string error;
+  ASSERT_TRUE(load_dump(path, dump, &error)) << error;
+  ASSERT_EQ(dump.info.rings.size(), 1u);
+  const FlightRingInfo& info = dump.info.rings[0];
   EXPECT_EQ(info.source, 7u);
   EXPECT_EQ(info.recorded, 10u);
   EXPECT_EQ(info.dropped, 6u);
   ASSERT_EQ(info.stored, 4u);
-  ASSERT_EQ(records.size(), 4u);
+  ASSERT_EQ(dump.events.size(), 4u);
   // Oldest → newest, and exactly the last four events survive the wrap.
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_DOUBLE_EQ(records[i].time, static_cast<double>(6 + i));
+    EXPECT_DOUBLE_EQ(dump.events[i].time(), static_cast<double>(6 + i));
   }
+  std::remove(path.c_str());
 }
 
 TEST(FlightRing, UnderfilledRingStoresEverything) {
-  NameTable names;
-  FlightRing ring(0, 16, names);
+  const std::string path = temp_path("flight_underfilled.bin");
+  FlightRecorder recorder(16);
+  FlightRing& ring = recorder.ring(0);
   for (std::uint64_t i = 0; i < 5; ++i) {
     ring.on_event(numbered(static_cast<double>(i), i));
   }
-  std::vector<FlightRecord> records;
-  const FlightRingInfo info = ring.snapshot(records);
-  EXPECT_EQ(info.stored, 5u);
-  EXPECT_EQ(info.dropped, 0u);
+  ASSERT_TRUE(recorder.dump(path));
+  Dump dump;
+  std::string error;
+  ASSERT_TRUE(load_dump(path, dump, &error)) << error;
+  ASSERT_EQ(dump.info.rings.size(), 1u);
+  EXPECT_EQ(dump.info.rings[0].stored, 5u);
+  EXPECT_EQ(dump.info.rings[0].dropped, 0u);
+  EXPECT_EQ(dump.events.size(), 5u);
+  std::remove(path.c_str());
 }
 
 TEST(FlightRecorder, DumpRoundTripsEveryPayloadType) {
@@ -464,6 +480,194 @@ TEST(FlightRecorder, DumpReportsAnUnwritablePath) {
   std::string error;
   EXPECT_FALSE(recorder.dump(path, &error));
   EXPECT_EQ(error, "cannot write " + path);
+}
+
+/// Two thread-safe rings (capacity 5) sharing one name table, dumped
+/// twice. Ring 20 interleaves two node_sample layouts and wraps before the
+/// first dump; ring 21 repeats ring 20's string values and wraps before
+/// the second. "idle" is two distinct pointers with equal content, which
+/// the name table keeps as two ids. Every other name is one pointer, so
+/// the dump does not depend on whether the compiler merges equal string
+/// literals.
+void record_shared_table_round(FlightRecorder& recorder, std::uint64_t round) {
+  static constexpr char kIdle[] = "idle";
+  static constexpr char kIdleAgain[] = "idle";
+  static constexpr const char* kOverload = "overload";
+  static constexpr const char* kOccupancy = "occupancy";
+  static constexpr const char* kQueued = "queued";
+  static constexpr const char* kState = "state";
+  static constexpr const char* kPledges = "pledges";
+  static constexpr const char* kEpisode = "episode";
+  static constexpr const char* kReason = "reason";
+  static constexpr const char* kAnswered = "answered";
+  FlightRing& a = recorder.ring(20, /*thread_safe=*/true);
+  FlightRing& b = recorder.ring(21, /*thread_safe=*/true);
+  const std::uint64_t base = 10 * round;
+  for (std::uint64_t i = base; i < base + 8; ++i) {
+    TraceEvent sample(0.5 * static_cast<double>(i),
+                      static_cast<NodeId>(i % 3), EventKind::kNodeSample);
+    sample.with(kOccupancy, 0.125 * static_cast<double>(i))
+        .with(kQueued, i)
+        .with(kState, i % 3 == 0 ? kIdle : kOverload);
+    if (i % 2 == 1) sample.with(kPledges, 2 * i).with(kAnswered, i % 4 == 1);
+    a.on_event(sample);
+  }
+  for (std::uint64_t i = base; i < base + 3 + 4 * round; ++i) {
+    TraceEvent help(0.75 * static_cast<double>(i),
+                    static_cast<NodeId>(i % 5), EventKind::kHelpSent);
+    help.with(kEpisode, 100 + i)
+        .with(kReason, i % 2 == 0 ? kOverload : kIdleAgain)
+        .with(kState, kIdle);
+    b.on_event(help);
+  }
+}
+
+// The literals are the dumps of this sequence from the recorder that
+// rebuilt and packed every record into a ring-sized vector before
+// writing: planning and streaming must not move a byte.
+TEST(FlightRecorder, SharedTableRingsDumpExactly) {
+  const std::string path = temp_path("flight_shared_table.bin");
+  FlightRecorder recorder(/*capacity_per_ring=*/5);
+  record_shared_table_round(recorder, 0);
+  ASSERT_TRUE(recorder.dump(path));
+  const std::string first = slurp(path);
+  EXPECT_EQ(first.size(), 1380u);
+  EXPECT_EQ(fnv1a(first), 0x46d652fb7be2f54cULL);
+
+  record_shared_table_round(recorder, 1);
+  ASSERT_EQ(recorder.total_dropped(), 16u);
+  ASSERT_TRUE(recorder.dump(path));
+  const std::string second = slurp(path);
+  EXPECT_EQ(second.size(), 1684u);
+  EXPECT_EQ(fnv1a(second), 0x35aa7b2395e2c665ULL);
+
+  Dump dump;
+  std::string error;
+  ASSERT_TRUE(load_dump(path, dump, &error)) << error;
+  EXPECT_EQ(dump.stats.malformed, 0u);
+  std::remove(path.c_str());
+}
+
+// A dump replaces a regular file: an older, larger dump at the path
+// leaves no tail, and a hard link to it keeps the old bytes.
+TEST(FlightRecorder, DumpReplacesARegularFile) {
+  const std::string path = temp_path("flight_replace.bin");
+  const std::string fresh = temp_path("flight_replace_fresh.bin");
+  const std::string old_link = temp_path("flight_replace_old.bin");
+  std::remove(path.c_str());
+  std::remove(old_link.c_str());
+  {
+    std::ofstream big(path, std::ios::binary);
+    big << std::string(std::size_t{1} << 16, 'x');
+  }
+  ASSERT_EQ(::link(path.c_str(), old_link.c_str()), 0);
+  FlightRecorder recorder(4);
+  record_golden_sequence(recorder);
+  ASSERT_TRUE(recorder.dump(path));
+  ASSERT_TRUE(recorder.dump(fresh));
+  const std::string bytes = slurp(fresh);
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_EQ(slurp(path), bytes);
+  EXPECT_EQ(slurp(old_link), std::string(std::size_t{1} << 16, 'x'));
+
+  // The same again with a dump as the old content.
+  std::remove(old_link.c_str());
+  ASSERT_EQ(::link(path.c_str(), old_link.c_str()), 0);
+  recorder.ring(3).on_event(numbered(9.0, 9));
+  ASSERT_TRUE(recorder.dump(path));
+  EXPECT_EQ(slurp(old_link), bytes);
+  EXPECT_NE(slurp(path), bytes);
+  for (const std::string* p : {&path, &fresh, &old_link}) {
+    std::remove(p->c_str());
+  }
+}
+
+// A symlink is written through: the link stays, its target holds the
+// dump. Devices are written to, never replaced.
+TEST(FlightRecorder, DumpWritesThroughSymlinksAndDevices) {
+  const std::string target = temp_path("flight_link_target.bin");
+  const std::string link = temp_path("flight_link.bin");
+  const std::string fresh = temp_path("flight_link_fresh.bin");
+  std::remove(link.c_str());
+  {
+    std::ofstream old(target, std::ios::binary);
+    old << std::string(4096, 'x');
+  }
+  ASSERT_EQ(::symlink(target.c_str(), link.c_str()), 0);
+  FlightRecorder recorder(4);
+  record_golden_sequence(recorder);
+  ASSERT_TRUE(recorder.dump(link));
+  ASSERT_TRUE(recorder.dump(fresh));
+  struct stat status{};
+  ASSERT_EQ(::lstat(link.c_str(), &status), 0);
+  EXPECT_TRUE(S_ISLNK(status.st_mode));
+  EXPECT_EQ(slurp(target), slurp(fresh));
+
+  std::string error;
+  EXPECT_TRUE(recorder.dump("/dev/null", &error)) << error;
+  ASSERT_EQ(::lstat("/dev/null", &status), 0);
+  EXPECT_TRUE(S_ISCHR(status.st_mode));
+  for (const std::string* p : {&target, &link, &fresh}) {
+    std::remove(p->c_str());
+  }
+}
+
+// Four writers keep recording into two thread-safe rings while the main
+// thread dumps: every dump is a consistent copy of each ring.
+TEST(FlightRecorder, DumpsWhileWritersRecord) {
+  const std::string path = temp_path("flight_concurrent.bin");
+  constexpr std::size_t kCapacity = 300;
+  FlightRecorder recorder(kCapacity);
+  FlightRing* rings[] = {&recorder.ring(1, /*thread_safe=*/true),
+                         &recorder.ring(2, /*thread_safe=*/true)};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (std::uint64_t w = 0; w < 4; ++w) {
+    writers.emplace_back([&, w] {
+      static constexpr const char* kStates[] = {"idle", "busy"};
+      for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        TraceEvent event(static_cast<double>(i), static_cast<NodeId>(w),
+                         EventKind::kNodeSample);
+        event.with("writer", w).with("seq", i);
+        if (i % 3 == w % 3) event.with("state", kStates[i % 2]);
+        rings[w % 2]->on_event(event);
+      }
+    });
+  }
+  // Each dump waits for both rings to have wrapped and moved on.
+  const auto wait_for = [&](std::uint64_t recorded) {
+    while (rings[0]->recorded() < recorded || rings[1]->recorded() < recorded) {
+      std::this_thread::yield();
+    }
+  };
+  for (std::uint64_t round = 0; round < 20; ++round) {
+    wait_for((round + 2) * kCapacity);
+    ASSERT_TRUE(recorder.dump(path));
+    Dump dump;
+    std::string error;
+    ASSERT_TRUE(load_dump(path, dump, &error)) << error;
+    EXPECT_EQ(dump.stats.malformed, 0u) << dump.stats.first_error;
+    ASSERT_EQ(dump.info.rings.size(), 2u);
+    for (const FlightRingInfo& info : dump.info.rings) {
+      EXPECT_EQ(info.stored, std::min<std::uint64_t>(info.recorded,
+                                                     kCapacity));
+      EXPECT_EQ(info.dropped, info.recorded - info.stored);
+    }
+    EXPECT_EQ(dump.events.size(),
+              dump.info.rings[0].stored + dump.info.rings[1].stored);
+    // A writer's records come back in the order it wrote them.
+    std::vector<double> last(4, -1.0);
+    for (std::size_t k = 0; k < dump.events.size(); ++k) {
+      const EventView event = dump.events[k];
+      const auto w = static_cast<std::size_t>(event.number("writer"));
+      ASSERT_LT(w, last.size());
+      ASSERT_GT(event.number("seq"), last[w]);
+      last[w] = event.number("seq");
+    }
+  }
+  stop.store(true);
+  for (std::thread& writer : writers) writer.join();
+  std::remove(path.c_str());
 }
 
 TEST(FlightRecorder, MultiRingDumpMergesByTime) {

@@ -22,6 +22,7 @@
 //   --flight-recorder[=N]  binary flight ring per sweep run (N records),
 //                       dumped to <flight-out>.<proto>.lambda<L>.rep<R>.bin
 //   --flight-out=PREFIX flight dump prefix (default "flight")
+// --trace and --flight-recorder are mutually exclusive (one sink per run).
 //
 // Each bench defines bench_main() instead of main(). The main() at the end
 // of this header (every bench is one translation unit) runs it and turns
@@ -31,6 +32,7 @@
 
 #include <exception>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,6 +62,11 @@ inline experiment::SweepOptions sweep_options(const Flags& flags) {
   // metric, only wall-clock time.
   experiment::RunSinkOptions sinks;
   sinks.jsonl_prefix = flags.get_string("trace", "");
+  if (!sinks.jsonl_prefix.empty() && flags.has("flight-recorder")) {
+    throw std::invalid_argument(
+        "--trace and --flight-recorder are mutually exclusive "
+        "(one sink per run)");
+  }
   sinks.jsonl_flush_every =
       static_cast<std::size_t>(flags.get_int("trace-flush-every", 0));
   if (flags.has("flight-recorder")) {
@@ -69,7 +76,6 @@ inline experiment::SweepOptions sweep_options(const Flags& flags) {
         static_cast<std::int64_t>(obs::kDefaultFlightCapacity));
     sinks.flight_capacity = n > 0 ? static_cast<std::size_t>(n)
                                   : obs::kDefaultFlightCapacity;
-    sinks.jsonl_prefix.clear();  // flight wins if both were passed
   }
   options.make_trace_sink =
       experiment::make_run_sink_factory(std::move(sinks));

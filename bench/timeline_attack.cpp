@@ -33,7 +33,7 @@ int bench_main(int argc, char** argv) {
     config.protocol_kind = kind;
     config.lambda = lambda;
     config.duration = flags.get_double("duration", 500.0);
-    config.timeline_interval = 25.0;
+    config.sample_interval = 25.0;
     config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
     experiment::AttackWave wave;
     wave.time = 200.0;

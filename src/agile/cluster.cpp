@@ -227,6 +227,7 @@ ClusterMetrics Cluster::aggregate(std::uint64_t generated) const {
     m.negotiations += s.negotiation_calls.load();
     m.speculative_accepted += s.speculative_accepted.load();
     m.speculative_rejected += s.speculative_rejected.load();
+    m.speculative_unresolved += s.speculative_unresolved.load();
     m.migration_latency_us += s.migration_latency_us.load();
     m.migration_latency_samples += s.migration_latency_samples.load();
   }

@@ -105,6 +105,8 @@ struct ClusterMetrics {
   std::uint64_t datagrams_dropped = 0;
   std::uint64_t speculative_accepted = 0;
   std::uint64_t speculative_rejected = 0;
+  /// Speculations a host still held when it stopped (see HostStats).
+  std::uint64_t speculative_unresolved = 0;
   std::uint64_t hosts_killed = 0;
   std::uint64_t hosts_restored = 0;
   std::uint64_t migration_latency_us = 0;

@@ -60,6 +60,8 @@ void HostRuntime::stop() {
   if (thread_.joinable()) {
     thread_.join();
   }
+  stats_.speculative_unresolved.fetch_add(speculations_.size(),
+                                          std::memory_order_relaxed);
 }
 
 void HostRuntime::restart() {

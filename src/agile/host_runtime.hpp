@@ -79,6 +79,9 @@ struct HostStats {
   std::atomic<std::uint64_t> negotiation_calls{0};
   std::atomic<std::uint64_t> speculative_accepted{0};
   std::atomic<std::uint64_t> speculative_rejected{0};
+  /// Speculations still awaiting their SpeculativeResult when stop()
+  /// joined the reactor: counted in arrivals, never admitted or rejected.
+  std::atomic<std::uint64_t> speculative_unresolved{0};
   /// Decision-to-registered migration latency, accumulated at the
   /// *destination* in model microseconds (mean = sum / count).
   std::atomic<std::uint64_t> migration_latency_us{0};

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/assert.hpp"
 
@@ -58,34 +57,6 @@ void OnlineStats::merge(const OnlineStats& other) {
 
 void OnlineStats::reset() { *this = OnlineStats{}; }
 
-WelchResult welch_t_test(const OnlineStats& a, const OnlineStats& b) {
-  WelchResult result;
-  if (a.count() < 2 || b.count() < 2) return result;
-  const double na = static_cast<double>(a.count());
-  const double nb = static_cast<double>(b.count());
-  const double va = a.variance() / na;
-  const double vb = b.variance() / nb;
-  const double pooled = va + vb;
-  if (pooled <= 0.0) {
-    // Zero variance on both sides: means differ significantly iff they
-    // differ at all.
-    result.t = a.mean() == b.mean() ? 0.0
-                                    : std::numeric_limits<double>::infinity();
-    result.degrees_of_freedom = na + nb - 2.0;
-    result.significant_at_5pct = a.mean() != b.mean();
-    return result;
-  }
-  result.t = (a.mean() - b.mean()) / std::sqrt(pooled);
-  result.degrees_of_freedom =
-      pooled * pooled /
-      (va * va / (na - 1.0) + vb * vb / (nb - 1.0));
-  // Critical value: z_{0.975} = 1.96 with a small-df inflation so the
-  // normal approximation stays conservative (t_{0.975,df} ~ 1.96 + 2.4/df).
-  const double critical = 1.96 + 2.4 / std::max(1.0, result.degrees_of_freedom);
-  result.significant_at_5pct = std::abs(result.t) > critical;
-  return result;
-}
-
 void TimeWeightedStats::update(SimTime now, double value) {
   if (!started_) {
     started_ = true;
@@ -105,45 +76,5 @@ double TimeWeightedStats::average(SimTime now) const {
 }
 
 void TimeWeightedStats::reset() { *this = TimeWeightedStats{}; }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins) {
-  REALTOR_ASSERT(bins > 0);
-  REALTOR_ASSERT(hi > lo);
-}
-
-void Histogram::add(double x) {
-  const double pos = (x - lo_) / width_;
-  std::size_t idx = 0;
-  if (pos > 0.0) {
-    idx = std::min(counts_.size() - 1, static_cast<std::size_t>(pos));
-  }
-  ++counts_[idx];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double running = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = running + static_cast<double>(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      const double frac = (target - running) / static_cast<double>(counts_[i]);
-      return bin_lo(i) + frac * width_;
-    }
-    running = next;
-  }
-  return bin_hi(counts_.size() - 1);
-}
 
 }  // namespace realtor

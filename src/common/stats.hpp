@@ -2,8 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -36,19 +34,6 @@ class OnlineStats {
   double max_ = 0.0;
 };
 
-/// Welch's unequal-variance t-test between two sample sets.
-struct WelchResult {
-  double t = 0.0;                  // test statistic
-  double degrees_of_freedom = 0.0; // Welch-Satterthwaite approximation
-  /// |t| exceeds the two-sided 5% critical value (normal approximation
-  /// of the t distribution; accurate for df >= ~10, conservative below).
-  bool significant_at_5pct = false;
-};
-
-/// Compares the means of `a` and `b`; both need >= 2 samples, otherwise a
-/// zero/insignificant result is returned.
-WelchResult welch_t_test(const OnlineStats& a, const OnlineStats& b);
-
 /// Average of a piecewise-constant signal weighted by the time each value
 /// was held. Used for queue occupancy and utilization traces.
 class TimeWeightedStats {
@@ -69,29 +54,6 @@ class TimeWeightedStats {
   SimTime last_time_ = 0.0;
   double last_value_ = 0.0;
   double weighted_sum_ = 0.0;
-};
-
-/// Fixed-bin histogram over [lo, hi); out-of-range samples land in clamped
-/// edge bins so totals are conserved.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  std::size_t bin_count() const { return counts_.size(); }
-  std::uint64_t bin(std::size_t i) const { return counts_[i]; }
-  std::uint64_t total() const { return total_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  /// Linear-interpolated quantile in [0, 1]; 0 if empty.
-  double quantile(double q) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace realtor

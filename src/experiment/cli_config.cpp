@@ -176,7 +176,6 @@ ScenarioConfig scenario_from_flags(const Flags& flags) {
   }
 
   // Output probes.
-  config.timeline_interval = flags.get_double("timeline", 0.0);
   config.sample_interval = flags.get_double("sample-interval", 0.0);
   config.engine_sample_every = static_cast<std::uint64_t>(
       flags.get_int("engine-sample", 0));

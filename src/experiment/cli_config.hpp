@@ -17,7 +17,8 @@
 //   extensions: --multires  --bw-mean  --secure-fraction
 //               --federate=WxH (mesh blocks)  --escalation-window
 //               --elusive=<period>
-//   output:    --timeline=<interval>  --sample-interval=<s>
+//   output:    --sample-interval=<s> (timeline rows; node/system samples
+//              when traced)
 //              --engine-sample=<n>  --live-cadence=<s>
 #pragma once
 

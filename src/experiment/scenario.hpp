@@ -133,16 +133,13 @@ struct ScenarioConfig {
   FederationConfig federation;
   ElusivenessConfig elusiveness;
 
-  /// Sampling period for the run timeline (Simulation::timeline()); 0
-  /// disables sampling.
-  SimTime timeline_interval = 0.0;
-
-  /// Period of the sampled time series: each tick writes one node_sample
-  /// trace record per alive node and six system_sample records
-  /// (messages.cost, nodes.alive, occupancy.mean, tasks.admitted,
-  /// tasks.generated, tasks.rejected), and a run whose last tick landed
-  /// before its end gets one more sample at the end; 0 disables it. Only
-  /// useful together with Simulation::set_trace_sink().
+  /// Period of the sampled time series; 0 disables it. Each tick appends
+  /// one row to the run timeline (Simulation::timeline()) and, when a
+  /// trace sink is attached, writes one node_sample record per alive node
+  /// and six system_sample records (messages.cost, nodes.alive,
+  /// occupancy.mean, tasks.admitted, tasks.generated, tasks.rejected) with
+  /// the row's values. A run whose last tick landed before its end gets
+  /// one more sample, timeline row included, at the end.
   SimTime sample_interval = 0.0;
   /// Emit one sampled engine_step trace record every N processed engine
   /// events (0 = off; disabled costs one integer test per event).

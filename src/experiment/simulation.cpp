@@ -456,10 +456,6 @@ void Simulation::begin_run() {
   if (config_.warmup > 0.0) {
     engine_.schedule_at(config_.warmup, [this] { metrics_.reset(); });
   }
-  if (config_.timeline_interval > 0.0) {
-    engine_.schedule_in(config_.timeline_interval,
-                        [this] { take_timeline_sample(); });
-  }
   if (config_.sample_interval > 0.0) {
     engine_.schedule_in(config_.sample_interval, [this] { sample_tick(); });
   }
@@ -503,38 +499,6 @@ const RunMetrics& Simulation::finish_run() {
   return metrics_;
 }
 
-void Simulation::take_timeline_sample() {
-  engine_.schedule_in(config_.timeline_interval,
-                      [this] { take_timeline_sample(); });
-  TimelineSample sample;
-  sample.time = engine_.now();
-  sample.generated = metrics_.generated;
-  sample.admitted = metrics_.admitted_total();
-  sample.rejected = metrics_.rejected;
-  sample.overhead_cost = metrics_.ledger.overhead_cost();
-  sample.alive_nodes = topology_.alive_count();
-  double occupancy_sum = 0.0;
-  topology_.for_each_alive_node(
-      [&](NodeId node) { occupancy_sum += hosts_[node]->occupancy(); });
-  sample.mean_occupancy =
-      sample.alive_nodes > 0
-          ? occupancy_sum / static_cast<double>(sample.alive_nodes)
-          : 0.0;
-  if (!timeline_.empty()) {
-    // Window admission over the tasks decided since the previous sample
-    // (dead-origin arrivals never reach a decision and drop out).
-    const TimelineSample& prev = timeline_.back();
-    const std::uint64_t new_admitted = sample.admitted - prev.admitted;
-    const std::uint64_t new_rejected = sample.rejected - prev.rejected;
-    const std::uint64_t decided = new_admitted + new_rejected;
-    sample.window_admission =
-        decided > 0
-            ? static_cast<double>(new_admitted) / static_cast<double>(decided)
-            : 1.0;
-  }
-  timeline_.push_back(sample);
-}
-
 void Simulation::live_tick() {
   // Always re-arm before emitting so the engine schedule is identical
   // whether or not a sink is attached (same contract as sample_tick).
@@ -552,12 +516,12 @@ void Simulation::sample_tick() {
 
 void Simulation::take_sample(SimTime now) {
   sample_last_ = now;
-  if (!tracing()) return;
-  const std::size_t alive = topology_.alive_count();
+  const bool traced = tracing();
   double occupancy_sum = 0.0;
   topology_.for_each_alive_node([&](NodeId id) {
     const node::Host& host = *hosts_[id];
     occupancy_sum += host.occupancy();
+    if (!traced) return;
     const proto::ProtocolProbe probe = protocols_[id]->probe(now);
     obs::TraceEvent event(now, id, obs::EventKind::kNodeSample);
     event.with("occupancy", host.occupancy())
@@ -569,16 +533,40 @@ void Simulation::take_sample(SimTime now) {
     }
     tracer_.emit(event);
   });
+  TimelineSample sample;
+  sample.time = now;
+  sample.generated = metrics_.generated;
+  sample.admitted = metrics_.admitted_total();
+  sample.rejected = metrics_.rejected;
+  sample.overhead_cost = metrics_.ledger.overhead_cost();
+  sample.alive_nodes = topology_.alive_count();
+  sample.mean_occupancy =
+      sample.alive_nodes > 0
+          ? occupancy_sum / static_cast<double>(sample.alive_nodes)
+          : 0.0;
+  if (!timeline_.empty()) {
+    // Window admission over the tasks decided since the previous sample
+    // (dead-origin arrivals never reach a decision and drop out).
+    const TimelineSample& prev = timeline_.back();
+    const std::uint64_t new_admitted = sample.admitted - prev.admitted;
+    const std::uint64_t new_rejected = sample.rejected - prev.rejected;
+    const std::uint64_t decided = new_admitted + new_rejected;
+    sample.window_admission =
+        decided > 0
+            ? static_cast<double>(new_admitted) / static_cast<double>(decided)
+            : 1.0;
+  }
+  timeline_.push_back(sample);
+  if (!traced) return;
   // Name order is the trace format: consumers key on these literals, and
   // each name has one address, which the flight recorder interns by.
   const std::pair<const char*, double> system[] = {
-      {"messages.cost", metrics_.ledger.overhead_cost()},
-      {"nodes.alive", static_cast<double>(alive)},
-      {"occupancy.mean",
-       alive > 0 ? occupancy_sum / static_cast<double>(alive) : 0.0},
-      {"tasks.admitted", static_cast<double>(metrics_.admitted_total())},
-      {"tasks.generated", static_cast<double>(metrics_.generated)},
-      {"tasks.rejected", static_cast<double>(metrics_.rejected)},
+      {"messages.cost", sample.overhead_cost},
+      {"nodes.alive", static_cast<double>(sample.alive_nodes)},
+      {"occupancy.mean", sample.mean_occupancy},
+      {"tasks.admitted", static_cast<double>(sample.admitted)},
+      {"tasks.generated", static_cast<double>(sample.generated)},
+      {"tasks.rejected", static_cast<double>(sample.rejected)},
   };
   for (const auto& [name, value] : system) {
     tracer_.emit(obs::TraceEvent(now, kInvalidNode,

@@ -35,8 +35,8 @@
 
 namespace realtor::experiment {
 
-/// One point of the run timeline (enabled by
-/// ScenarioConfig::timeline_interval). Counters are cumulative;
+/// One point of the run timeline, taken at every sample tick
+/// (ScenarioConfig::sample_interval). Counters are cumulative;
 /// window_admission is the admission probability within the last interval.
 struct TimelineSample {
   SimTime time = 0.0;
@@ -96,7 +96,8 @@ class Simulation {
   void inject(const sim::Arrival& arrival, double bandwidth_share = 0.0,
               std::uint8_t min_security = 0);
 
-  /// Samples recorded at timeline_interval (empty when disabled).
+  /// One sample per sample tick, plus the end-of-run sample (empty when
+  /// sample_interval is 0).
   const std::vector<TimelineSample>& timeline() const { return timeline_; }
 
   /// Attaches a borrowed trace sink; every instrumented layer (protocols,
@@ -144,13 +145,13 @@ class Simulation {
   void maybe_escalate(NodeId origin);
   void evacuate(NodeId victim);
   void elusive_round();
-  void take_timeline_sample();
   void live_tick();
   void on_liveness_change(NodeId nodeid, bool alive);
   void schedule_attacks(const std::vector<AttackWave>& waves);
   void finalize_telemetry();
   void sample_tick();
-  /// One node_sample per alive node, then the six system_sample records.
+  /// Appends one timeline row; when tracing, also one node_sample per
+  /// alive node, then the six system_sample records.
   void take_sample(SimTime now);
   bool tracing() const { return tracer_.active(); }
 

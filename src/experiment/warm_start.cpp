@@ -162,7 +162,6 @@ std::string canonical_prefix(const ScenarioConfig& config) {
   w.field("fed.escalation_window", fed.escalation_window);
   w.field("elusive.enabled", config.elusiveness.enabled);
   w.field("elusive.period", config.elusiveness.period);
-  w.field("timeline_interval", config.timeline_interval);
   w.field("sample_interval", config.sample_interval);
   w.field("engine_sample_every", config.engine_sample_every);
   w.field("live_cadence", config.live_cadence);

@@ -1,6 +1,5 @@
 #include "net/failure.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -23,34 +22,6 @@ void FailureInjector::schedule_kill(NodeId node, SimTime at) {
 void FailureInjector::schedule_restore(NodeId node, SimTime at) {
   REALTOR_ASSERT(node < topology_.num_nodes());
   engine_.schedule_at(at, [this, node] { apply(node, true); });
-}
-
-std::vector<NodeId> FailureInjector::schedule_attack_wave(
-    std::size_t count, SimTime attack_time, SimTime outage, RngStream& rng,
-    const std::vector<NodeId>& spared) {
-  std::vector<NodeId> candidates;
-  for (const NodeId n : topology_.alive_nodes()) {
-    if (std::find(spared.begin(), spared.end(), n) == spared.end()) {
-      candidates.push_back(n);
-    }
-  }
-  REALTOR_ASSERT_MSG(count <= candidates.size(),
-                     "attack wave larger than the eligible population");
-  // Partial Fisher-Yates: the first `count` entries become the victims.
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t j =
-        i + static_cast<std::size_t>(
-                rng.uniform_index(candidates.size() - i));
-    std::swap(candidates[i], candidates[j]);
-  }
-  candidates.resize(count);
-  for (const NodeId victim : candidates) {
-    schedule_kill(victim, attack_time);
-    if (outage > 0.0) {
-      schedule_restore(victim, attack_time + outage);
-    }
-  }
-  return candidates;
 }
 
 void FailureInjector::apply(NodeId node, bool alive) {

@@ -11,7 +11,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
 
@@ -31,15 +30,6 @@ class FailureInjector {
 
   /// Node comes back at `at` (idempotent if already up).
   void schedule_restore(NodeId node, SimTime at);
-
-  /// Kills `count` distinct random alive-at-schedule-time nodes at
-  /// `attack_time`, restoring each at `attack_time + outage`; never targets
-  /// nodes in `spared` (lets experiments keep a designated victim's
-  /// destination pool alive). Returns the chosen victims.
-  std::vector<NodeId> schedule_attack_wave(std::size_t count,
-                                           SimTime attack_time,
-                                           SimTime outage, RngStream& rng,
-                                           const std::vector<NodeId>& spared = {});
 
   std::uint64_t kills() const { return kills_; }
   std::uint64_t restores() const { return restores_; }

@@ -18,12 +18,7 @@ Crossing ThresholdDetector::update(double value) {
   }
   if (now_above == above_) return Crossing::kNone;
   above_ = now_above;
-  if (now_above) {
-    ++up_count_;
-    return Crossing::kUp;
-  }
-  ++down_count_;
-  return Crossing::kDown;
+  return now_above ? Crossing::kUp : Crossing::kDown;
 }
 
 void ThresholdDetector::reset() {

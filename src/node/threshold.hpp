@@ -9,8 +9,6 @@
 // than to load itself.
 #pragma once
 
-#include <cstdint>
-
 namespace realtor::node {
 
 enum class Crossing {
@@ -32,19 +30,12 @@ class ThresholdDetector {
   bool above() const { return above_; }
   bool primed() const { return primed_; }
 
-  /// Lifetime crossing tallies (telemetry; reset() does not clear them —
-  /// a killed node's history of crossings is still history).
-  std::uint64_t up_count() const { return up_count_; }
-  std::uint64_t down_count() const { return down_count_; }
-
   void reset();
 
  private:
   double threshold_;
   bool primed_ = false;
   bool above_ = false;
-  std::uint64_t up_count_ = 0;
-  std::uint64_t down_count_ = 0;
 };
 
 }  // namespace realtor::node

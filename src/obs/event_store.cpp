@@ -32,13 +32,11 @@ char* TextArena::alloc(std::size_t n) {
   }
   char* out = cursor_;
   cursor_ += n + 1;
-  bytes_used_ += n + 1;
   return out;
 }
 
 void TextArena::trim(char* base, std::size_t used) {
   base[used] = '\0';
-  bytes_used_ -= static_cast<std::size_t>(cursor_ - (base + used + 1));
   cursor_ = base + used + 1;
 }
 
@@ -51,11 +49,9 @@ std::string_view TextArena::store(std::string_view text) {
 
 void TextArena::adopt(TextArena&& other) {
   for (auto& chunk : other.chunks_) chunks_.push_back(std::move(chunk));
-  bytes_used_ += other.bytes_used_;
   other.chunks_.clear();
   other.cursor_ = nullptr;
   other.chunk_end_ = nullptr;
-  other.bytes_used_ = 0;
   // cursor_/chunk_end_ keep pointing into our own current chunk: adopted
   // chunks are full (or trimmed) and are never bump-allocated from again.
 }

@@ -73,15 +73,12 @@ class TextArena {
   /// Moves every chunk of `other` into this arena (addresses unchanged).
   void adopt(TextArena&& other);
 
-  std::size_t bytes_used() const { return bytes_used_; }
-
  private:
   static constexpr std::size_t kChunkSize = 64 * 1024;
 
   std::vector<std::unique_ptr<char[]>> chunks_;
   char* cursor_ = nullptr;
   char* chunk_end_ = nullptr;
-  std::size_t bytes_used_ = 0;
 };
 
 /// string -> dense StrId interner (open-addressed FNV-1a). Ids are handed

@@ -96,9 +96,6 @@ std::vector<Episode> build_episodes(const std::vector<SpanEvent>& events) {
         break;
       case EventKind::kMigrationAttempt:
         ++episode.migration_attempts;
-        if (episode.first_attempt_time < 0.0) {
-          episode.first_attempt_time = event.time;
-        }
         break;
       case EventKind::kTaskAdmitMigrated:
         // Duplicates migration_success for counting, but carries the

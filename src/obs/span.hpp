@@ -85,8 +85,6 @@ struct Episode {
   std::uint64_t migration_attempts = 0;
   std::uint64_t migration_aborts = 0;
   std::uint64_t migrations = 0;
-  /// First migration_attempt stamped with this episode; negative = none.
-  SimTime first_attempt_time = -1.0;
   /// First task_admit_migrated stamped with this episode (the admission
   /// decision that consumed the episode's pledges); negative = none.
   SimTime first_admission_time = -1.0;
@@ -106,7 +104,6 @@ struct Episode {
   SimTime time_to_migration() const {
     return first_migration_time - start_time;
   }
-  bool has_attempt() const { return first_attempt_time >= 0.0; }
   bool has_admission() const { return first_admission_time >= 0.0; }
 };
 

@@ -1,6 +1,8 @@
 // Preemptive single-CPU scheduler: static priority tiers with EDF inside a
 // tier (the paper's Agile Objects job scheduler). Runs on the simulation
-// clock; the Agile runtime drives one instance per host.
+// clock. It is the reference for the deadline guarantee HostRuntime's
+// Constant Utilization Server relies on: the CusEdfProperty tests run CUS
+// deadlines through it and check that none is missed.
 #pragma once
 
 #include <functional>

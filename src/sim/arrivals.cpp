@@ -1,6 +1,5 @@
 #include "sim/arrivals.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -48,21 +47,6 @@ void PoissonArrivals::emit() {
   event_ = engine_.schedule_in(gaps_.exponential(1.0 / rate_),
                                [this] { emit(); });
   sink_(arrival);
-}
-
-TraceArrivals::TraceArrivals(Engine& engine, std::vector<Arrival> trace,
-                             ArrivalSink sink)
-    : engine_(engine), trace_(std::move(trace)), sink_(std::move(sink)) {
-  REALTOR_ASSERT(static_cast<bool>(sink_));
-  REALTOR_ASSERT(std::is_sorted(
-      trace_.begin(), trace_.end(),
-      [](const Arrival& a, const Arrival& b) { return a.time < b.time; }));
-}
-
-void TraceArrivals::start() {
-  for (const Arrival& arrival : trace_) {
-    engine_.schedule_at(arrival.time, [this, arrival] { sink_(arrival); });
-  }
 }
 
 std::vector<Arrival> generate_poisson_trace(std::uint64_t seed, double rate,

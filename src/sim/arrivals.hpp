@@ -2,9 +2,9 @@
 //
 // The paper's workload (§5): tasks arrive as a Poisson process with rate
 // lambda, each with an exponentially distributed length (mean 5 s), and are
-// assigned to a uniformly random node. PoissonArrivals generates the stream;
-// TraceArrivals replays a recorded one (for regression tests and for running
-// the same workload through the threaded Agile cluster).
+// assigned to a uniformly random node. PoissonArrivals generates the stream
+// on the simulation clock; generate_poisson_trace pre-generates the same
+// stream as a list (for the threaded Agile cluster and workload CSVs).
 #pragma once
 
 #include <functional>
@@ -53,21 +53,6 @@ class PoissonArrivals {
   ArrivalSink sink_;
   TaskId next_task_ = 0;
   EventId event_ = kInvalidEvent;
-};
-
-/// Replays a fixed arrival list in timestamp order.
-class TraceArrivals {
- public:
-  TraceArrivals(Engine& engine, std::vector<Arrival> trace, ArrivalSink sink);
-
-  void start();
-
-  std::size_t size() const { return trace_.size(); }
-
- private:
-  Engine& engine_;
-  std::vector<Arrival> trace_;
-  ArrivalSink sink_;
 };
 
 /// Pre-generates `count` arrivals with the same distributions as

@@ -145,13 +145,4 @@ std::vector<TraceRecord> from_arrivals(const std::vector<sim::Arrival>& a) {
   return out;
 }
 
-std::vector<sim::Arrival> to_arrivals(const std::vector<TraceRecord>& r) {
-  std::vector<sim::Arrival> out;
-  out.reserve(r.size());
-  for (const TraceRecord& record : r) {
-    out.push_back(record.arrival);
-  }
-  return out;
-}
-
 }  // namespace realtor::trace

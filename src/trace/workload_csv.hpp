@@ -43,6 +43,5 @@ LoadResult load_csv_file(const std::string& path);
 
 /// Convenience: wraps plain arrivals as trace records.
 std::vector<TraceRecord> from_arrivals(const std::vector<sim::Arrival>& a);
-std::vector<sim::Arrival> to_arrivals(const std::vector<TraceRecord>& r);
 
 }  // namespace realtor::trace

@@ -154,8 +154,8 @@ TEST(ClusterRun, SpeculativeMigrationConserves) {
   config.speculative_migration = true;
   Cluster cluster(config);
   const ClusterMetrics m = cluster.run();
-  EXPECT_EQ(m.arrivals_processed,
-            m.admitted_local + m.admitted_migrated + m.rejected);
+  EXPECT_EQ(m.arrivals_processed, m.admitted_local + m.admitted_migrated +
+                                      m.rejected + m.speculative_unresolved);
   EXPECT_GT(m.speculative_accepted + m.speculative_rejected, 0u);
   EXPECT_EQ(m.speculative_accepted, m.admitted_migrated);
 }
@@ -166,8 +166,8 @@ TEST(ClusterRun, NetworkDelayStillConserves) {
   config.network_delay = 0.2;  // model seconds
   Cluster cluster(config);
   const ClusterMetrics m = cluster.run();
-  EXPECT_EQ(m.arrivals_processed,
-            m.admitted_local + m.admitted_migrated + m.rejected);
+  EXPECT_EQ(m.arrivals_processed, m.admitted_local + m.admitted_migrated +
+                                      m.rejected + m.speculative_unresolved);
 }
 
 TEST(ClusterRun, SpeculativeMigrationCutsLatency) {

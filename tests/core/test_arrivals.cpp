@@ -101,32 +101,5 @@ TEST(GeneratePoissonTrace, MatchesLiveGenerator) {
   }
 }
 
-TEST(TraceArrivals, ReplaysInOrder) {
-  std::vector<Arrival> trace;
-  for (int i = 0; i < 5; ++i) {
-    Arrival a;
-    a.id = static_cast<TaskId>(i);
-    a.time = static_cast<SimTime>(i) * 2.0;
-    a.size_seconds = 1.0;
-    a.node = 0;
-    trace.push_back(a);
-  }
-  Engine e;
-  std::vector<TaskId> seen;
-  std::vector<SimTime> at;
-  TraceArrivals replay(e, trace, [&](const Arrival& a) {
-    seen.push_back(a.id);
-    at.push_back(e.now());
-  });
-  replay.start();
-  e.run();
-  ASSERT_EQ(seen.size(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(seen[static_cast<std::size_t>(i)], static_cast<TaskId>(i));
-    EXPECT_DOUBLE_EQ(at[static_cast<std::size_t>(i)],
-                     static_cast<SimTime>(i) * 2.0);
-  }
-}
-
 }  // namespace
 }  // namespace realtor::sim

@@ -169,35 +169,5 @@ TEST(FailureInjector, DuplicateKillIsIdempotent) {
   EXPECT_EQ(injector.kills(), 1u);
 }
 
-TEST(FailureInjector, AttackWaveRespectsSparedAndCount) {
-  sim::Engine engine;
-  Topology mesh = make_mesh(5, 5);
-  FailureInjector injector(engine, mesh);
-  RngStream rng(5, "attack");
-  const std::vector<NodeId> spared{0, 1, 2};
-  const auto victims =
-      injector.schedule_attack_wave(10, 5.0, 20.0, rng, spared);
-  EXPECT_EQ(victims.size(), 10u);
-  for (const NodeId v : victims) {
-    for (const NodeId s : spared) {
-      EXPECT_NE(v, s);
-    }
-  }
-  engine.run_until(6.0);
-  EXPECT_EQ(mesh.alive_count(), 15u);
-  engine.run_until(30.0);
-  EXPECT_EQ(mesh.alive_count(), 25u);
-}
-
-TEST(FailureInjector, AttackWaveVictimsDistinct) {
-  sim::Engine engine;
-  Topology mesh = make_mesh(5, 5);
-  FailureInjector injector(engine, mesh);
-  RngStream rng(5, "attack");
-  const auto victims = injector.schedule_attack_wave(25, 1.0, 0.0, rng);
-  std::set<NodeId> unique(victims.begin(), victims.end());
-  EXPECT_EQ(unique.size(), 25u);
-}
-
 }  // namespace
 }  // namespace realtor::net

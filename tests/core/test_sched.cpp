@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sched/admission_test.hpp"
 #include "sched/cus.hpp"
 #include "sched/edf_scheduler.hpp"
 #include "sim/engine.hpp"
@@ -192,26 +191,6 @@ TEST(ConstantUtilizationServer, ResetForgetsDeadline) {
   cus.reset();
   EXPECT_DOUBLE_EQ(cus.current_deadline(), 0.0);
   EXPECT_DOUBLE_EQ(cus.budgeted_work(), 0.0);
-}
-
-TEST(UtilizationAccount, ReserveAndRelease) {
-  UtilizationAccount account(1.0);
-  EXPECT_TRUE(account.try_reserve(0.5));
-  EXPECT_TRUE(account.try_reserve(0.5));
-  EXPECT_FALSE(account.try_reserve(0.01));
-  EXPECT_DOUBLE_EQ(account.headroom(), 0.0);
-  account.release(0.5);
-  EXPECT_TRUE(account.try_reserve(0.3));
-  EXPECT_EQ(account.admitted(), 3u);
-  EXPECT_EQ(account.rejected(), 1u);
-}
-
-TEST(UtilizationAccount, ExactFitAdmits) {
-  UtilizationAccount account(1.0);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(account.try_reserve(0.1));
-  }
-  EXPECT_FALSE(account.would_admit(0.001));
 }
 
 }  // namespace

@@ -106,90 +106,5 @@ TEST(TimeWeightedStats, RepeatedSamplesAtSameInstant) {
   EXPECT_DOUBLE_EQ(tw.average(10.0), 5.0);
 }
 
-TEST(WelchTTest, DetectsClearlySeparatedMeans) {
-  RngStream rng(5, "welch");
-  OnlineStats a, b;
-  for (int i = 0; i < 30; ++i) {
-    a.add(rng.uniform(0.0, 1.0));
-    b.add(rng.uniform(2.0, 3.0));
-  }
-  const WelchResult result = welch_t_test(a, b);
-  EXPECT_TRUE(result.significant_at_5pct);
-  EXPECT_LT(result.t, 0.0);  // mean(a) < mean(b)
-  EXPECT_GT(result.degrees_of_freedom, 10.0);
-}
-
-TEST(WelchTTest, SameDistributionUsuallyInsignificant) {
-  RngStream rng(5, "welch-null");
-  int significant = 0;
-  for (int trial = 0; trial < 40; ++trial) {
-    OnlineStats a, b;
-    for (int i = 0; i < 25; ++i) {
-      a.add(rng.uniform01());
-      b.add(rng.uniform01());
-    }
-    if (welch_t_test(a, b).significant_at_5pct) ++significant;
-  }
-  // ~5% false-positive rate; 40 trials should stay well under 8 hits.
-  EXPECT_LE(significant, 7);
-}
-
-TEST(WelchTTest, TooFewSamplesIsInsignificant) {
-  OnlineStats a, b;
-  a.add(1.0);
-  b.add(100.0);
-  b.add(101.0);
-  const WelchResult result = welch_t_test(a, b);
-  EXPECT_FALSE(result.significant_at_5pct);
-  EXPECT_DOUBLE_EQ(result.t, 0.0);
-}
-
-TEST(WelchTTest, ZeroVarianceDistinctMeansSignificant) {
-  OnlineStats a, b;
-  a.add(1.0);
-  a.add(1.0);
-  b.add(2.0);
-  b.add(2.0);
-  EXPECT_TRUE(welch_t_test(a, b).significant_at_5pct);
-  a.reset();
-  b.reset();
-  a.add(3.0);
-  a.add(3.0);
-  b.add(3.0);
-  b.add(3.0);
-  EXPECT_FALSE(welch_t_test(a, b).significant_at_5pct);
-}
-
-TEST(Histogram, BinningAndTotals) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  EXPECT_EQ(h.total(), 10u);
-  for (std::size_t b = 0; b < h.bin_count(); ++b) {
-    EXPECT_EQ(h.bin(b), 1u);
-  }
-}
-
-TEST(Histogram, OutOfRangeClampsToEdges) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-100.0);
-  h.add(100.0);
-  EXPECT_EQ(h.bin(0), 1u);
-  EXPECT_EQ(h.bin(3), 1u);
-  EXPECT_EQ(h.total(), 2u);
-}
-
-TEST(Histogram, MedianOfUniformData) {
-  Histogram h(0.0, 1.0, 100);
-  RngStream rng(9, "hist");
-  for (int i = 0; i < 100000; ++i) h.add(rng.uniform01());
-  EXPECT_NEAR(h.quantile(0.5), 0.5, 0.02);
-  EXPECT_NEAR(h.quantile(0.9), 0.9, 0.02);
-}
-
-TEST(Histogram, QuantileOfEmptyIsZero) {
-  Histogram h(0.0, 1.0, 4);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
-}
-
 }  // namespace
 }  // namespace realtor

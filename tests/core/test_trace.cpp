@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/log.hpp"
 #include "obs/event_store.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "obs/metrics.hpp"
@@ -487,24 +486,6 @@ TEST(HistogramQuantiles, ReservoirSubsamplingIsDeterministic) {
   // And the estimate stays inside the observed range.
   EXPECT_GE(a.p50(), a.stats().min());
   EXPECT_LE(a.p50(), a.stats().max());
-}
-
-TEST(LogSinkSatellite, CapturesAndRestores) {
-  std::vector<std::pair<LogLevel, std::string>> captured;
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kInfo);
-  LogSink previous = set_log_sink([&](LogLevel level,
-                                      const std::string& line) {
-    captured.emplace_back(level, line);
-  });
-  REALTOR_INFO("hello " << 42);
-  REALTOR_DEBUG("filtered out");
-  set_log_sink(std::move(previous));
-  set_log_level(before);
-  ASSERT_EQ(captured.size(), 1u);
-  EXPECT_EQ(captured[0].first, LogLevel::kInfo);
-  EXPECT_EQ(captured[0].second, "hello 42");
-  REALTOR_ERROR("back on stderr, not the dead capture");  // must not crash
 }
 
 }  // namespace

@@ -12,7 +12,7 @@ ScenarioConfig report_config() {
   config.protocol_kind = proto::ProtocolKind::kRealtor;
   config.lambda = 8.0;
   config.duration = 150.0;
-  config.timeline_interval = 50.0;
+  config.sample_interval = 50.0;
   config.seed = 9;
   return config;
 }

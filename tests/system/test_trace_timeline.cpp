@@ -143,7 +143,7 @@ TEST(Timeline, SamplesAtConfiguredInterval) {
   experiment::ScenarioConfig config;
   config.lambda = 6.0;
   config.duration = 100.0;
-  config.timeline_interval = 10.0;
+  config.sample_interval = 10.0;
   config.seed = 5;
   experiment::Simulation sim(config);
   sim.run();
@@ -165,7 +165,7 @@ TEST(Timeline, CapturesAttackDipAndRecovery) {
   config.protocol_kind = proto::ProtocolKind::kRealtor;
   config.lambda = 5.0;
   config.duration = 300.0;
-  config.timeline_interval = 10.0;
+  config.sample_interval = 10.0;
   config.seed = 5;
   experiment::AttackWave wave;
   wave.time = 100.0;

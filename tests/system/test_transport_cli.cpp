@@ -217,13 +217,13 @@ TEST(CliConfig, FederationBlockSpec) {
 
 TEST(CliConfig, ExtensionTogglesMapThrough) {
   const auto config = scenario_from_flags(make_flags(
-      {"--multires", "--bw-mean=0.2", "--elusive=15", "--timeline=10",
+      {"--multires", "--bw-mean=0.2", "--elusive=15", "--sample-interval=10",
        "--flood=spanning", "--cost=exact", "--tries=3"}));
   EXPECT_TRUE(config.multi_resource.enabled);
   EXPECT_DOUBLE_EQ(config.multi_resource.mean_bandwidth_share, 0.2);
   EXPECT_TRUE(config.elusiveness.enabled);
   EXPECT_DOUBLE_EQ(config.elusiveness.period, 15.0);
-  EXPECT_DOUBLE_EQ(config.timeline_interval, 10.0);
+  EXPECT_DOUBLE_EQ(config.sample_interval, 10.0);
   EXPECT_EQ(config.flood_mode, net::FloodMode::kSpanningTree);
   EXPECT_EQ(config.cost_mode, net::CostMode::kExactHops);
   EXPECT_EQ(config.migration.max_tries, 3u);

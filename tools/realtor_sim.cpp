@@ -5,7 +5,7 @@
 //   realtor_sim                               # paper defaults, REALTOR
 //   realtor_sim --protocol=Push-1 --lambda=8
 //   realtor_sim --topology=torus --nodes=100 --width=10 --height=10
-//   realtor_sim --attack=200:10:1:150 --timeline=25
+//   realtor_sim --attack=200:10:1:150 --sample-interval=25
 //   realtor_sim --federate=5x5 --width=10 --height=10 --lambda=28
 //   realtor_sim --multires --secure-fraction=0.4
 //   realtor_sim --elusive=10
